@@ -63,22 +63,9 @@ func scanStore(store *rules.Store, blocks [][]arm.Instr) int {
 	return hits
 }
 
-// scanIndex is scanStore on a frozen snapshot (lock-free, incremental
-// window keys, first-opcode length masks).
-func scanIndex(ix *rules.Index, blocks [][]arm.Instr) int {
-	hits := 0
-	for _, blk := range blocks {
-		for i := range blk {
-			if _, _, _, ok := ix.LongestMatch(blk, i); ok {
-				hits++
-			}
-		}
-	}
-	return hits
-}
-
-// scanScanner is scanIndex through a reused BlockScanner (O(1) prefix-sum
-// keys — exactly what Engine.translate uses).
+// scanScanner is scanStore on a frozen snapshot through a reused
+// BlockScanner (lock-free, O(1) prefix-sum keys, first-opcode length
+// masks — exactly what Engine.translate uses).
 func scanScanner(sc *rules.BlockScanner, blocks [][]arm.Instr) int {
 	hits := 0
 	for _, blk := range blocks {
@@ -93,16 +80,16 @@ func scanScanner(sc *rules.BlockScanner, blocks [][]arm.Instr) int {
 }
 
 // BenchmarkLongestMatch compares §4's longest-match application scan on
-// the learned corpus rule set across the three lookup paths: the locked
-// store (seed engine), the frozen index, and the per-block scanner. One
+// the learned corpus rule set across the reference and the engine path:
+// the locked store, and the per-block scanner over the frozen index. One
 // op = a full scan of every window position in the gcc guest binary.
 func BenchmarkLongestMatch(b *testing.B) {
 	store := corpusRuleStore(b)
 	blocks := guestBlocks(b, "gcc")
 	ix := store.Freeze()
 	want := scanStore(store, blocks)
-	if got := scanIndex(ix, blocks); got != want {
-		b.Fatalf("index found %d matches, store %d", got, want)
+	if got := scanScanner(ix.NewBlockScanner(blocks[0]), blocks); got != want {
+		b.Fatalf("scanner found %d matches, store %d", got, want)
 	}
 	b.Logf("rules=%d blocks=%d hits=%d", store.Count(), len(blocks), want)
 
@@ -111,30 +98,10 @@ func BenchmarkLongestMatch(b *testing.B) {
 			scanStore(store, blocks)
 		}
 	})
-	b.Run("index", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			scanIndex(ix, blocks)
-		}
-	})
 	b.Run("scanner", func(b *testing.B) {
 		sc := ix.NewBlockScanner(blocks[0])
 		for n := 0; n < b.N; n++ {
 			scanScanner(sc, blocks)
-		}
-	})
-	b.Run("store-hierarchical", func(b *testing.B) {
-		store.Hierarchical = true
-		defer func() { store.Hierarchical = false }()
-		for n := 0; n < b.N; n++ {
-			scanStore(store, blocks)
-		}
-	})
-	b.Run("index-hierarchical", func(b *testing.B) {
-		store.Hierarchical = true
-		ixh := store.Freeze()
-		store.Hierarchical = false
-		for n := 0; n < b.N; n++ {
-			scanIndex(ixh, blocks)
 		}
 	})
 }
@@ -197,8 +164,8 @@ func TestLongestMatchSpeedup(t *testing.T) {
 	store := corpusRuleStore(t)
 	blocks := guestBlocks(t, "gcc")
 	ix := store.Freeze()
-	if got, want := scanIndex(ix, blocks), scanStore(store, blocks); got != want {
-		t.Fatalf("index found %d matches, store %d", got, want)
+	if got, want := scanScanner(ix.NewBlockScanner(blocks[0]), blocks), scanStore(store, blocks); got != want {
+		t.Fatalf("scanner found %d matches, store %d", got, want)
 	}
 	slow := testing.Benchmark(func(b *testing.B) {
 		for n := 0; n < b.N; n++ {

@@ -329,18 +329,6 @@ func BenchmarkAblationVerifySAT(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHashKeyHierarchical measures the §7 hierarchical index
-// against the flat mean-of-opcodes table on the same lookups.
-func BenchmarkAblationHashKeyHierarchical(b *testing.B) {
-	store := ablationStore(b)
-	store.Hierarchical = true
-	window := arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		store.Lookup(window)
-	}
-}
-
 // BenchmarkAblationChainingOn measures the block-chained dispatcher.
 func BenchmarkAblationChainingOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {

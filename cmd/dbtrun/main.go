@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dbtrun -bench mcf [-backend qemu|rules|jit] [-rules rules.txt | -rules-url URL]
-//	       [-rules-watch] [-workload test|ref] [-style llvm|gcc] [-hier] [-noindex]
+//	       [-rules-watch] [-workload test|ref] [-style llvm|gcc]
 //	       [-tier interp|threaded|native|auto] [-faults SPEC] [-json]
 //	       [-metrics-addr HOST:PORT] [-metrics-linger D]
 //
@@ -94,8 +94,6 @@ func run() int {
 	rulesRetries := flag.Int("rules-retries", 3, "initial -rules-url fetch attempts before falling back")
 	workload := flag.String("workload", "test", "test|ref")
 	styleName := flag.String("style", "llvm", "guest compiler style (llvm|gcc)")
-	hier := flag.Bool("hier", false, "hierarchical (mean, length, firstOp) store buckets (§7)")
-	noIndex := flag.Bool("noindex", false, "disable the frozen-index translation fast path (use the locked store)")
 	tierName := flag.String("tier", "auto", "execution tier: interp|threaded|native|auto")
 	faults := flag.String("faults", "", "arm fault-injection points: name[@N|@every][,...]")
 	jsonOut := flag.Bool("json", false, "emit one dbt.RunStats JSON line instead of the text report")
@@ -192,9 +190,8 @@ func run() int {
 			list = fetchSnapshot(c, cache, *rulesURL, *rulesRetries, *rulesWatch)
 		}
 		store = rules.NewStore()
-		store.Hierarchical = *hier
-		// Instrument before the engine constructor freezes its first index
-		// snapshot, so rules_freeze_total counts it.
+		// Instrument before the engine freezes its first index snapshot, so
+		// rules_freeze_total counts it.
 		if reg != nil {
 			store.SetTelemetry(reg)
 		}
@@ -217,7 +214,6 @@ func run() int {
 		n = b.RefN
 	}
 	e := dbt.NewEngine(g, backend, store)
-	e.DisableRuleIndex = *noIndex
 	e.Tier = tier
 	if reg != nil {
 		e.SetTelemetry(reg)
@@ -225,7 +221,6 @@ func run() int {
 	if *rulesURL != "" && *rulesWatch {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		hier := *hier
 		wc := dist.NewClient(*rulesURL)
 		wc.SetTimeout(*rulesTimeout)
 		wc.EnableBreaker(0, 0)
@@ -251,7 +246,6 @@ func run() int {
 			}
 			_ = dist.Subscribe(ctx, wc, opts,
 				func(s *rules.Store, info dist.VersionInfo) {
-					s.Hierarchical = hier
 					e.OfferRules(s)
 					fmt.Fprintf(os.Stderr, "rules: hot-swap offered: version %d (%d rules)\n",
 						info.Version, info.Count)
@@ -267,12 +261,12 @@ func run() int {
 			// counters gathered up to the abort, then signal the distinct
 			// exit status so harnesses can tell "persistent fault" from
 			// usage errors.
-			report(e, b.Name, backend, *workload, style, ret, *jsonOut, *noIndex, *faults)
+			report(e, b.Name, backend, *workload, style, ret, *jsonOut, *faults)
 			return 3
 		}
 		return 1
 	}
-	report(e, b.Name, backend, *workload, style, ret, *jsonOut, *noIndex, *faults)
+	report(e, b.Name, backend, *workload, style, ret, *jsonOut, *faults)
 	return 0
 }
 
@@ -325,7 +319,7 @@ func fetchSnapshot(c *dist.Client, cache *dist.Cache, url string, retries int, w
 
 // report prints the run record: one canonical dbt.RunStats JSON line with
 // -json, the human-readable text block otherwise.
-func report(e *dbt.Engine, benchName string, backend dbt.Backend, workload string, style codegen.Style, ret uint32, jsonOut, noIndex bool, faults string) {
+func report(e *dbt.Engine, benchName string, backend dbt.Backend, workload string, style codegen.Style, ret uint32, jsonOut bool, faults string) {
 	st := &e.Stats
 	if jsonOut {
 		tiers := e.TierStats
@@ -358,11 +352,6 @@ func report(e *dbt.Engine, benchName string, backend dbt.Backend, workload strin
 		fmt.Printf("native bails   %d\n", ts.NativeBailouts)
 	}
 	if backend == dbt.BackendRules {
-		path := "frozen index"
-		if noIndex {
-			path = "locked store"
-		}
-		fmt.Printf("rule lookup    %s\n", path)
 		fmt.Printf("coverage       static %.1f%%  dynamic %.1f%%\n",
 			100*float64(st.StaticCovered)/float64(st.StaticTotal),
 			100*float64(st.DynCovered)/float64(st.DynTotal))

@@ -66,25 +66,26 @@ type TB struct {
 	// ruleIDs lists the learned rules that contributed host code, so an
 	// execution fault in this block can quarantine them.
 	ruleIDs []int
+	// tier and climbAt are the block's run state (see tier.go): tier is
+	// the form exec runs — TierInterp (Host through Step), TierThreaded
+	// (thunks) or TierNative (native) — and climbAt is the ExecCount at
+	// which TierAuto tries the next rung, noClimb once the block is pinned
+	// where it is. Only install, promote, promoteNative and demoteNative
+	// write them; exec just reads tier.
+	tier    Tier
+	climbAt uint64
 	// thunks is the threaded-tier form of Host: one pre-bound closure per
-	// host instruction, compiled on promotion (see tier.go). nil while the
-	// block runs on the switch interpreter; dropped with the block on any
-	// cache eviction, which is what demotion means here.
+	// host instruction. Dropped with the block on any cache eviction,
+	// which is what demotion means here.
 	thunks []x86.Thunk
-	// noThread pins the block to the interpreter after a thunk build
-	// failure, so promotion is attempted at most once.
-	noThread bool
 	// native is the native-tier form of Host: emitted amd64 machine code
 	// placed in the engine's executable buffer, entered at nativeEntry
-	// (see tier.go and x86/native). nativeGen is the buffer generation the
-	// code was placed under — a mismatch at dispatch means the buffer was
-	// reset (rule hot-swap flush) and the entry pointer is dead.
+	// (see x86/native). nativeGen is the buffer generation the code was
+	// placed under — a mismatch at dispatch means the buffer was reset
+	// (rule hot-swap flush) and the entry pointer is dead.
 	native      *native.Code
 	nativeEntry uintptr
 	nativeGen   uint64
-	// noNative pins the block off the native tier after a compile or
-	// placement failure, so native promotion is attempted at most once.
-	noNative bool
 }
 
 // chainedTo reports whether this block's exit is already patched to jump
@@ -158,21 +159,21 @@ type Engine struct {
 	// DisableChaining turns off block chaining (every TB entry pays the
 	// full dispatch cost — the pre-chaining QEMU behaviour).
 	DisableChaining bool
-	// DisableRuleIndex forces rule matching through the locked Store
-	// paths instead of the frozen Index (ablation and differential-test
-	// knob for the translation fast path).
-	DisableRuleIndex bool
 
 	// Tier selects the execution tier (see tier.go). The zero value is
 	// TierAuto: interpret cold blocks, promote hot ones to pre-bound
 	// thunks. The deterministic cycle model is identical under every
-	// tier; only wall-clock speed and TierStats differ.
+	// tier; only wall-clock speed and TierStats differ. Tier and the two
+	// thresholds are read when a block is installed in the code cache, so
+	// set them before the first Run.
 	Tier Tier
 	// PromoteThreshold overrides DefaultPromoteThreshold when positive:
 	// the ExecCount at which TierAuto promotes a block.
 	PromoteThreshold int
 	// NativeThreshold overrides DefaultNativePromoteThreshold when
 	// positive: the ExecCount at which TierAuto lifts a block to native.
+	// The ladder is climbed a rung at a time, so a value below the
+	// threaded threshold acts as equal to it.
 	NativeThreshold int
 	// JITLimit caps the native tier's executable code buffer in bytes
 	// (0 = unlimited). A block that no longer fits is shed to the
@@ -191,11 +192,10 @@ type Engine struct {
 	tbs     []*TB
 	tbCount int
 	lastTB  *TB
-	// idx is the frozen lock-free snapshot of Rules; scan amortizes the
-	// per-block prefix sums across every window probe in a TB. Both are
-	// rebuilt when the store's version moves between Runs; if the store
-	// mutates mid-run (learning and translation interleaving), translate
-	// falls back to the locked store paths.
+	// idx is the frozen lock-free snapshot of Rules the translator matches
+	// against; scan amortizes the per-block prefix sums across every
+	// window probe in a TB. Only scanner (and adoptOffered, which installs
+	// a snapshot frozen by the offering goroutine) assigns them.
 	idx  *rules.Index
 	scan *rules.BlockScanner
 	st   *x86.State
@@ -250,10 +250,29 @@ func NewEngine(g *prog.ARM, backend Backend, store *rules.Store) *Engine {
 		st:      x86.NewState(),
 	}
 	e.Stats.RuleHitsByLen = map[int]uint64{}
-	if store != nil {
-		e.idx = store.Freeze()
-	}
 	return e
+}
+
+// scanner points the engine's block scanner at block and returns it,
+// first refreezing the index when Rules has moved past the snapshot: an
+// Add between or during Runs, this engine's own quarantine, or another
+// engine quarantining in a shared store are all seen by the next block
+// translated. The check is one atomic load, paid per translated block,
+// never per dispatch; cached blocks keep the code they were built with.
+func (e *Engine) scanner(block []arm.Instr) *rules.BlockScanner {
+	if e.idx == nil || e.idx.Version() != e.Rules.Version() {
+		if e.idx != nil {
+			e.tel.telRefreeze()
+		}
+		e.idx = e.Rules.Freeze()
+		e.scan = nil
+	}
+	if e.scan == nil {
+		e.scan = e.idx.NewBlockScanner(block)
+	} else {
+		e.scan.Reset(block)
+	}
+	return e.scan
 }
 
 func (e *Engine) readEnv(addr uint32) uint32   { return e.st.Mem.Read32(addr) }
@@ -280,14 +299,6 @@ func (e *Engine) Run(fn string, args []uint32, maxGuestInstrs uint64) (uint32, e
 	// not eat into this run's allowance.
 	e.faultRetries = map[int]int{}
 	e.adoptOffered()
-	if e.Rules != nil && e.idx != nil && e.idx.Version() != e.Rules.Version() {
-		// The store gained rules since the last freeze (e.g. learning
-		// finished between Runs): refreeze so translation stays on the
-		// lock-free path.
-		e.idx = e.Rules.Freeze()
-		e.scan = nil
-		e.tel.telRefreeze()
-	}
 	for r := arm.Reg(0); r < arm.NumRegs; r++ {
 		e.setEnv(EnvReg(r), 0)
 	}
@@ -401,6 +412,7 @@ func (e *Engine) tb(gpc int) (*TB, error) {
 	if telArmed {
 		e.tel.telTranslate(gpc, tb, telT0)
 	}
+	e.install(tb)
 	tb.Gen = e.pageGen[gpc>>tbPageShift]
 	e.tbs[gpc] = tb
 	e.tbCount++
@@ -418,7 +430,8 @@ func (e *Engine) tb(gpc int) (*TB, error) {
 // exec runs one TB to its exit, counting cycles. Dispatch cost models
 // QEMU-style block chaining: the first traversal of a (predecessor,
 // successor) edge pays the code-cache lookup, later traversals pay only
-// the patched direct jump.
+// the patched direct jump. Which form of the block runs is tb.tier, set
+// when the block was installed or last promoted (see tier.go).
 //
 // A panic while executing host code unwinds into dispatchLoop's recover
 // and is contained there (attributed via e.curTB); injected faults fire
@@ -446,49 +459,26 @@ func (e *Engine) exec(tb *TB) {
 	}
 	e.lastTB = tb
 	e.st.R[x86.ESP] = HostStackTop
-	// Tier split. The three loops are cycle-model-identical: each charges
-	// HostCosts[pc] and one HostInstr per step, and both the thunks and
-	// the emitted machine code reproduce Step's semantics exactly (pinned
-	// by FuzzThreadedMatchesStep, FuzzNativeMatchesStep, and the
-	// cross-tier golden differential). The faster loops accumulate into
-	// locals — uint64 addition is associative, so the sums are bit-equal.
-	//
-	// Native selection: a block runs natively only while its code's
-	// buffer generation is current; a reset buffer (rule hot-swap flush)
-	// makes the entry pointer dead, so the stale code is shed here as the
-	// backstop (the flush itself already drops every cached block).
-	useNative := false
-	if e.Tier == TierNative || e.Tier == TierAuto {
-		if tb.native != nil {
-			if tb.nativeGen == e.jit.Gen() {
-				useNative = true
-			} else {
-				tb.native = nil
-				tb.nativeEntry = 0
-				e.TierStats.NativeDemotions++
-			}
+	// The three loops are cycle-model-identical: each charges HostCosts[pc]
+	// and one HostInstr per step, and both the thunks and the emitted
+	// machine code reproduce Step's semantics exactly (pinned by
+	// FuzzThreadedMatchesStep, FuzzNativeMatchesStep, and the cross-tier
+	// golden differential). The faster loops accumulate into locals —
+	// uint64 addition is associative, so the sums are bit-equal.
+run:
+	switch tb.tier {
+	case TierNative:
+		if tb.nativeGen != e.jit.Gen() {
+			// Backstop: the code buffer was reset under this block and its
+			// entry pointer is dead (a rule hot-swap flush drops every
+			// cached block first, so this should not happen). Shed the
+			// code and run the form the block falls back to.
+			e.demoteNative(tb)
+			goto run
 		}
-		if !useNative && e.Tier == TierNative && !tb.noNative {
-			e.promoteNative(tb)
-			useNative = tb.native != nil
-		}
-	}
-	threaded := !useNative && tb.thunks != nil && e.Tier != TierInterp
-	if !useNative && tb.thunks == nil && !tb.noThread &&
-		(e.Tier == TierThreaded || e.Tier == TierNative) {
-		// TierThreaded builds thunks eagerly; TierNative does too when the
-		// native build was rejected, so its fallback ladder is
-		// native → threaded → interp rather than dropping straight to the
-		// switch loop.
-		e.promote(tb)
-		threaded = tb.thunks != nil
-	}
-	execTier := TierInterp
-	if useNative {
 		e.execNative(tb)
 		e.TierStats.NativeDispatches++
-		execTier = TierNative
-	} else if threaded {
+	case TierThreaded:
 		thunks, costs, st := tb.thunks, tb.HostCosts, e.st
 		var cycles, instrs uint64
 		pc := 0
@@ -500,8 +490,7 @@ func (e *Engine) exec(tb *TB) {
 		e.Stats.ExecCycles += cycles
 		e.Stats.HostInstrs += instrs
 		e.TierStats.ThreadedDispatches++
-		execTier = TierThreaded
-	} else {
+	default:
 		pc := 0
 		for pc >= 0 && pc < len(tb.Host) {
 			e.Stats.ExecCycles += tb.HostCosts[pc]
@@ -510,14 +499,10 @@ func (e *Engine) exec(tb *TB) {
 		}
 		e.TierStats.InterpDispatches++
 	}
+	execTier := tb.tier
 	tb.ExecCount++
-	if e.Tier == TierAuto {
-		if tb.thunks == nil && !tb.noThread && tb.ExecCount >= e.promoteAt() {
-			e.promote(tb)
-		}
-		if tb.native == nil && !tb.noNative && tb.ExecCount >= e.nativeAt() {
-			e.promoteNative(tb)
-		}
+	for tb.ExecCount >= tb.climbAt {
+		e.climb(tb)
 	}
 	e.Stats.DispatchCount++
 	e.Stats.GuestInstrs += uint64(tb.GuestLen)
@@ -638,19 +623,9 @@ func (e *Engine) translate(gpc int) (*TB, error) {
 	// entry to pure-TCG translation (the containment path's safe retry).
 	useRules := e.Backend == BackendRules && e.Rules != nil && !e.forceTCG[gpc]
 
-	// Translation fast path: a frozen-index scanner with O(1) window keys,
-	// unless the snapshot is stale (the store mutated mid-run) or the
-	// index is disabled — then sc stays nil and rule probes take the
-	// locked store paths.
 	var sc *rules.BlockScanner
-	if useRules && !e.DisableRuleIndex &&
-		e.idx != nil && e.idx.Version() == e.Rules.Version() {
-		if e.scan == nil {
-			e.scan = e.idx.NewBlockScanner(block)
-		} else {
-			e.scan.Reset(block)
-		}
-		sc = e.scan
+	if useRules {
+		sc = e.scanner(block)
 	}
 
 	i := 0

@@ -79,7 +79,7 @@ func (e *Engine) translateGuarded(gpc int) (tb *TB, err error) {
 		}
 		e.curRule = nil
 	}()
-	if faultinject.Fire(faultinject.TranslateFail) {
+	if faultinject.Enabled() && faultinject.Fire(faultinject.TranslateFail) {
 		return nil, &FaultError{
 			Point: faultinject.TranslateFail, GuestPC: gpc, TBEntry: -1, RuleID: -1,
 		}
@@ -154,9 +154,9 @@ func (e *Engine) containExec(fe *FaultError, tb *TB) bool {
 	return true
 }
 
-// quarantine pulls the rule with the given ID out of the store and
-// refreezes the engine's index snapshot so the lock-free matching path
-// stops seeing it immediately. Returns whether anything was quarantined.
+// quarantine pulls the rule with the given ID out of the store. The
+// version bump makes the next translation refreeze (see scanner), so the
+// retry never matches it again. Returns whether anything was quarantined.
 func (e *Engine) quarantine(id int) bool {
 	if e.Rules == nil || id < 0 {
 		return false
@@ -166,8 +166,6 @@ func (e *Engine) quarantine(id int) bool {
 		return false
 	}
 	e.Stats.QuarantinedRules += uint64(n)
-	e.idx = e.Rules.Freeze()
-	e.scan = nil
 	e.tel.telQuarantine(id, n)
 	return true
 }

@@ -78,7 +78,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 						t.Errorf("quarantined rule %d still installed", r.ID)
 					}
 				}
-				if m, _, ok := idx.Lookup(r.Guest); ok && m.ID == r.ID {
+				if m, _, ok := idx.NewBlockScanner(r.Guest).Match(0, len(r.Guest)); ok && m.ID == r.ID {
 					t.Errorf("frozen index still matches quarantined rule %d", r.ID)
 				}
 			}

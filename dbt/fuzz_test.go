@@ -3,7 +3,6 @@ package dbt
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -102,23 +101,9 @@ func checkBackendsAgree(t *testing.T, label, src string, args []uint32) {
 				label, backend, args, int32(got), int32(wantRet), src)
 		}
 		if backend == BackendRules {
-			// The frozen-index fast path must be observationally
-			// invisible: same result, bit-identical Stats as the locked
-			// store paths.
-			slow := NewEngine(g, backend, st)
-			slow.DisableRuleIndex = true
-			sgot, err := slow.Run("work", args, 200_000_000)
-			if err != nil {
-				t.Fatalf("%s rules/store-path: %v\n%s", label, err, src)
-			}
-			if sgot != got {
-				t.Fatalf("%s rules: index path returned %d, store path %d\n%s",
-					label, int32(got), int32(sgot), src)
-			}
-			if !reflect.DeepEqual(e.Stats, slow.Stats) {
-				t.Fatalf("%s rules: stats diverge between index and store paths\nindex: %+v\nstore: %+v\n%s",
-					label, e.Stats, slow.Stats, src)
-			}
+			// The frozen-index lookup must pick exactly what the locked
+			// store reference walk picks in every block.
+			checkCoverageReplaysStoreWalk(t, label+" rules", e, store)
 		}
 		for _, gl := range g.Globals {
 			for i := 0; i < gl.Len; i++ {

@@ -116,43 +116,19 @@ func planRuleFlags(r *rules.Rule, live [4]bool, disableSave bool) rulesFlagPlan 
 }
 
 // tryRules attempts to translate a rule-covered window starting at block
-// position i. It returns the number of guest instructions consumed (0 when
-// no rule applies). With a scanner (the frozen-index fast path) each probe
-// uses an O(1) prefix-sum window key and skips lengths the first-opcode
-// mask rules out; without one it falls back to the locked store lookups.
-// Both paths probe the same lengths in the same order against the same
-// bucket ordering, so which rule wins is identical.
+// position i of the block sc was pointed at. It returns the number of
+// guest instructions consumed (0 when no rule applies). Windows are probed
+// longest first (§4), or shortest first under the ShortestMatch ablation;
+// each probe uses an O(1) prefix-sum window key and skips lengths the
+// first-opcode mask rules out.
 func (e *Engine) tryRules(t *translator, tb *TB, sc *rules.BlockScanner, block []arm.Instr, i, gpc int) int {
-	var maxLen int
-	if sc != nil {
-		maxLen = sc.MaxLen(i)
-	} else {
-		maxLen = len(block) - i
-		if m := e.Rules.MaxLen(); maxLen > m {
-			maxLen = m
-		}
-	}
-	lens := make([]int, 0, maxLen)
+	maxLen := sc.MaxLen(i)
+	l, step := maxLen, -1
 	if e.ShortestMatch {
-		for l := 1; l <= maxLen; l++ {
-			lens = append(lens, l)
-		}
-	} else {
-		for l := maxLen; l >= 1; l-- {
-			lens = append(lens, l)
-		}
+		l, step = 1, 1
 	}
-	for _, l := range lens {
-		var (
-			r  *rules.Rule
-			b  *rules.Binding
-			ok bool
-		)
-		if sc != nil {
-			r, b, ok = sc.Match(i, l)
-		} else {
-			r, b, ok = e.Rules.Lookup(block[i : i+l])
-		}
+	for ; l >= 1 && l <= maxLen; l += step {
+		r, b, ok := sc.Match(i, l)
 		if !ok {
 			continue
 		}
@@ -217,7 +193,7 @@ func (e *Engine) applyRule(t *translator, r *rules.Rule, b *rules.Binding,
 	if err != nil {
 		return false
 	}
-	if faultinject.Fire(faultinject.RuleBindingCorrupt) {
+	if faultinject.Enabled() && faultinject.Fire(faultinject.RuleBindingCorrupt) {
 		// Stand-in for a corrupted binding or a bad learned rule blowing up
 		// during instantiation/emission — after the match, so the fault is
 		// attributable to this rule.
@@ -254,12 +230,9 @@ func (e *Engine) applyRule(t *translator, r *rules.Rule, b *rules.Binding,
 		t.a.storeEnv(scratchA, EnvHFlags)
 		t.a.storeEnvImm(fmtVal, EnvCCFmt)
 	default:
-		if r.WritesFlags() {
-			// All written flags are dead; host flags are meaningless.
-			t.liveHostFlags = 0
-		} else {
-			t.liveHostFlags = 0 // rule body clobbered host flags
-		}
+		// Either the rule body clobbered host flags, or every flag it
+		// writes is dead: host flags are meaningless from here.
+		t.liveHostFlags = 0
 	}
 	if trailing != nil {
 		// The instantiated jump carries the guest target; route both edges

@@ -153,16 +153,13 @@ func (t *engineTel) telFault(fe *FaultError, recovered bool, retries int) {
 	}
 }
 
-// telQuarantine records a rule quarantine (n rules removed) and the
-// forced index refreeze that follows it.
+// telQuarantine records a rule quarantine (n rules removed).
 func (t *engineTel) telQuarantine(ruleID, n int) {
 	if !t.armed() {
 		return
 	}
 	t.quarantines.Add(uint64(n))
 	t.reg.Trace(telemetry.EvQuarantine, -1, ruleID, uint64(n))
-	t.refreezes.Inc()
-	t.reg.Trace(telemetry.EvRefreeze, -1, -1, 0)
 }
 
 // telPromote records a block's promotion to the given target tier
@@ -199,7 +196,7 @@ func (t *engineTel) telNativeBailShape(shape string) {
 	c.Inc()
 }
 
-// telRefreeze records a version-change refreeze between Runs.
+// telRefreeze records the engine moving to a newer rule-index snapshot.
 func (t *engineTel) telRefreeze() {
 	if !t.armed() {
 		return

@@ -2,6 +2,7 @@ package dbt
 
 import (
 	"fmt"
+	"math"
 
 	"dbtrules/dbt/jitbuf"
 	"dbtrules/x86"
@@ -119,9 +120,9 @@ type TierStats struct {
 	NativeBuildFails uint64 `json:"native_build_fails,omitempty"`
 	// NativeBufferFails counts blocks whose machine code compiled fine
 	// but could not be placed — the executable buffer hit Engine.JITLimit
-	// or the platform refused the mapping. Each such block demotes to the
-	// threaded tier and stays there (noNative), so a saturated buffer
-	// costs throughput, never correctness.
+	// or the platform refused the mapping. Each such block stays on the
+	// threaded tier for good, so a saturated buffer costs throughput,
+	// never correctness.
 	NativeBufferFails uint64 `json:"native_buffer_fails,omitempty"`
 }
 
@@ -141,37 +142,77 @@ func (e *Engine) nativeAt() uint64 {
 	return DefaultNativePromoteThreshold
 }
 
-// promote compiles tb's host code into pre-bound thunks. On the (should
-// be impossible, see TierStats.ThunkBuildFails) build failure the block
-// is pinned to the interpreter rather than erroring: threading is an
-// optimization, never a correctness dependency.
+// noClimb is the TB.climbAt of a block pinned to its current tier: an
+// ExecCount no block reaches.
+const noClimb = math.MaxUint64
+
+// install sets the run state of a freshly translated block, before it
+// enters the code cache. Pinned tiers build their form here, once, with
+// TierNative falling down the ladder native → threaded → interp when a
+// build is rejected; TierAuto starts every block on the interpreter and
+// lets exec's post-run check climb from there.
+func (e *Engine) install(tb *TB) {
+	tb.tier, tb.climbAt = TierInterp, noClimb
+	switch e.Tier {
+	case TierAuto:
+		tb.climbAt = e.promoteAt()
+	case TierThreaded:
+		e.promote(tb)
+	case TierNative:
+		e.promoteNative(tb)
+		if tb.tier != TierNative {
+			e.promote(tb)
+		}
+	}
+}
+
+// climb tries the rung above tb's current tier. exec calls it once
+// ExecCount reaches tb.climbAt; every outcome moves climbAt on (to the
+// next rung's threshold, or noClimb), so a rung is tried at most once.
+func (e *Engine) climb(tb *TB) {
+	if tb.tier == TierThreaded {
+		e.promoteNative(tb)
+	} else {
+		e.promote(tb)
+	}
+}
+
+// promote compiles tb's host code into pre-bound thunks and moves the
+// block to the threaded tier. On the (should be impossible, see
+// TierStats.ThunkBuildFails) build failure the block is pinned where it
+// is rather than erroring: threading is an optimization, never a
+// correctness dependency.
 func (e *Engine) promote(tb *TB) {
+	tb.climbAt = noClimb
 	thunks, err := x86.BuildThunks(tb.Host)
 	if err != nil {
-		tb.noThread = true
 		e.TierStats.ThunkBuildFails++
 		return
 	}
 	tb.thunks = thunks
+	tb.tier = TierThreaded
+	if e.Tier == TierAuto {
+		tb.climbAt = e.nativeAt()
+	}
 	e.TierStats.Promotions++
 	if t := e.tel; t.armed() {
 		t.telPromote(tb, TierThreaded)
 	}
 }
 
-// promoteNative compiles tb's host code to machine code and places it in
-// the engine's executable buffer. Any failure (unsupported platform,
-// compile rejection, a block that is all bail stubs, buffer exhaustion)
-// pins the block off the native tier — like thunks, native execution is
-// an optimization, never a correctness dependency.
+// promoteNative compiles tb's host code to machine code, places it in
+// the engine's executable buffer and moves the block to the native tier.
+// Any failure (unsupported platform, compile rejection, a block that is
+// all bail stubs, buffer exhaustion) pins the block where it is — like
+// thunks, native execution is an optimization, never a correctness
+// dependency.
 func (e *Engine) promoteNative(tb *TB) {
+	tb.climbAt = noClimb
 	if !NativeSupported() {
-		tb.noNative = true
 		return
 	}
 	code, err := native.Compile(tb.Host, tb.HostCosts)
 	if err != nil || code.Bails >= len(tb.Host) {
-		tb.noNative = true
 		e.TierStats.NativeBuildFails++
 		return
 	}
@@ -184,9 +225,8 @@ func (e *Engine) promoteNative(tb *TB) {
 	if perr != nil {
 		// The compile succeeded; only placement failed (buffer at
 		// JITLimit, or the platform refusing executable memory). The
-		// block keeps its thunks, so it demotes to the threaded tier
-		// rather than losing the promotion silently.
-		tb.noNative = true
+		// block stays on the tier below rather than losing the promotion
+		// silently.
 		e.TierStats.NativeBufferFails++
 		if t := e.tel; t.armed() {
 			t.bufferFails.Inc()
@@ -196,10 +236,25 @@ func (e *Engine) promoteNative(tb *TB) {
 	tb.native = code
 	tb.nativeEntry = entry
 	tb.nativeGen = e.jit.Gen()
+	tb.tier = TierNative
 	e.TierStats.NativePromotions++
 	if t := e.tel; t.armed() {
 		t.telPromote(tb, TierNative)
 		t.codeBytes.Set(uint64(e.jit.Bytes()))
+	}
+}
+
+// demoteNative sheds native code whose buffer generation went stale (the
+// backstop in exec). A block that climbed here through thunks drops back
+// to them and the next post-run check recompiles it; one installed
+// straight onto the native tier is installed afresh.
+func (e *Engine) demoteNative(tb *TB) {
+	tb.native, tb.nativeEntry = nil, 0
+	e.TierStats.NativeDemotions++
+	if tb.thunks != nil {
+		tb.tier, tb.climbAt = TierThreaded, 0
+	} else {
+		e.install(tb)
 	}
 }
 

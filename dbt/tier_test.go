@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dbtrules/codegen"
+	"dbtrules/x86"
 )
 
 // runUnderTier compiles-free helper: runs the work function of a prepared
@@ -348,5 +349,127 @@ func TestThreeTierLifecycle(t *testing.T) {
 	}
 	if ei.TierStats.NativeDispatches != 0 || ei.TierStats.NativePromotions != 0 {
 		t.Fatalf("TierInterp executed native code: %+v", ei.TierStats)
+	}
+}
+
+// TestTBRunState walks single blocks through every transition of the
+// per-TB run state (TB.tier / TB.climbAt) — install under each engine
+// tier, the TierAuto climb, the build-failure and buffer-failure pins,
+// the drop, and the stale-buffer backstop — and pins the resulting tier
+// and TierStats. The blocks are hand-made so each row isolates one
+// transition; exec, climb and Invalidate are the engine's own.
+func TestTBRunState(t *testing.T) {
+	good := []x86.Instr{x86.MustParse("movl $1, %eax")}
+	// No such opcode: CheckCode rejects it, so BuildThunks fails; natively
+	// it compiles to nothing but a bail stub, a native build failure too.
+	noThunks := []x86.Instr{{Op: x86.Op(250)}}
+	// Valid (so it threads), but outside the emitter's repertoire: two
+	// memory accesses. All-bail natively.
+	noNative := []x86.Instr{{Op: x86.PUSH, Dst: x86.MemOp(x86.MemRef{HasBase: true, Base: x86.EAX})}}
+
+	type step struct {
+		op string // "exec" n times | "climb" | "drop" | "reset-jit"
+		n  int
+	}
+	exec := func(n int) step { return step{"exec", n} }
+	rows := []struct {
+		name       string
+		tier       Tier
+		th, nth    int
+		jitLimit   int
+		host       []x86.Instr
+		steps      []step
+		needNative bool
+		wantTier   Tier
+		wantClimb  uint64
+		want       TierStats
+	}{
+		{name: "auto/install", tier: TierAuto, th: 2, nth: 4, host: good,
+			wantTier: TierInterp, wantClimb: 2},
+		{name: "auto/climb-threaded", tier: TierAuto, th: 2, nth: 4, host: good, steps: []step{exec(2)},
+			wantTier: TierThreaded, wantClimb: 4,
+			want: TierStats{InterpDispatches: 2, Promotions: 1}},
+		{name: "auto/climb-native", tier: TierAuto, th: 2, nth: 4, host: good, steps: []step{exec(5)}, needNative: true,
+			wantTier: TierNative, wantClimb: noClimb,
+			want: TierStats{InterpDispatches: 2, ThreadedDispatches: 2, NativeDispatches: 1, Promotions: 1, NativePromotions: 1}},
+		{name: "auto/equal-thresholds", tier: TierAuto, th: 2, nth: 2, host: good, steps: []step{exec(2)}, needNative: true,
+			wantTier: TierNative, wantClimb: noClimb,
+			want: TierStats{InterpDispatches: 2, Promotions: 1, NativePromotions: 1}},
+		{name: "interp/pinned", tier: TierInterp, host: good, steps: []step{exec(100)},
+			wantTier: TierInterp, wantClimb: noClimb,
+			want: TierStats{InterpDispatches: 100}},
+		{name: "threaded/install", tier: TierThreaded, host: good, steps: []step{exec(100)},
+			wantTier: TierThreaded, wantClimb: noClimb,
+			want: TierStats{ThreadedDispatches: 100, Promotions: 1}},
+		{name: "native/install", tier: TierNative, host: good, steps: []step{exec(3)}, needNative: true,
+			wantTier: TierNative, wantClimb: noClimb,
+			want: TierStats{NativeDispatches: 3, NativePromotions: 1}},
+		{name: "auto/thunk-build-fail-pins", tier: TierAuto, th: 2, nth: 4, host: noThunks, steps: []step{{op: "climb"}},
+			wantTier: TierInterp, wantClimb: noClimb,
+			want: TierStats{ThunkBuildFails: 1}},
+		{name: "native/both-builds-fail", tier: TierNative, host: noThunks, needNative: true,
+			wantTier: TierInterp, wantClimb: noClimb,
+			want: TierStats{NativeBuildFails: 1, ThunkBuildFails: 1}},
+		{name: "auto/native-build-fail-pins", tier: TierAuto, th: 2, nth: 4, host: noNative, steps: []step{exec(8)}, needNative: true,
+			wantTier: TierThreaded, wantClimb: noClimb,
+			want: TierStats{InterpDispatches: 2, ThreadedDispatches: 6, Promotions: 1, NativeBuildFails: 1}},
+		{name: "native/buffer-fail-pins", tier: TierNative, jitLimit: 1, host: good, steps: []step{exec(3)}, needNative: true,
+			wantTier: TierThreaded, wantClimb: noClimb,
+			want: TierStats{ThreadedDispatches: 3, Promotions: 1, NativeBufferFails: 1}},
+		{name: "auto/buffer-fail-pins", tier: TierAuto, th: 2, nth: 4, jitLimit: 1, host: good, steps: []step{exec(8)}, needNative: true,
+			wantTier: TierThreaded, wantClimb: noClimb,
+			want: TierStats{InterpDispatches: 2, ThreadedDispatches: 6, Promotions: 1, NativeBufferFails: 1}},
+		{name: "auto/drop-threaded", tier: TierAuto, th: 2, nth: 4, host: good, steps: []step{exec(2), {op: "drop"}},
+			wantTier: TierThreaded, wantClimb: 4,
+			want: TierStats{InterpDispatches: 2, Promotions: 1, Demotions: 1}},
+		{name: "auto/drop-native", tier: TierAuto, th: 2, nth: 4, host: good, steps: []step{exec(4), {op: "drop"}}, needNative: true,
+			wantTier: TierNative, wantClimb: noClimb,
+			want: TierStats{InterpDispatches: 2, ThreadedDispatches: 2, Promotions: 1, NativePromotions: 1, Demotions: 1, NativeDemotions: 1}},
+		{name: "auto/stale-buffer-backstop", tier: TierAuto, th: 2, nth: 4, host: good,
+			steps: []step{exec(4), {op: "reset-jit"}, exec(2)}, needNative: true,
+			wantTier: TierNative, wantClimb: noClimb,
+			want: TierStats{InterpDispatches: 2, ThreadedDispatches: 3, NativeDispatches: 1,
+				Promotions: 1, NativePromotions: 2, NativeDemotions: 1}},
+		{name: "native/stale-buffer-backstop", tier: TierNative, host: good,
+			steps: []step{exec(2), {op: "reset-jit"}, exec(2)}, needNative: true,
+			wantTier: TierNative, wantClimb: noClimb,
+			want: TierStats{NativeDispatches: 4, NativePromotions: 2, NativeDemotions: 1}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.needNative && !NativeSupported() {
+				t.Skip("native back end not available on this host")
+			}
+			e := NewEngine(loopGuest(), BackendQEMU, nil)
+			e.Tier, e.PromoteThreshold, e.NativeThreshold, e.JITLimit = row.tier, row.th, row.nth, row.jitLimit
+			tb := &TB{GuestLen: 1, Host: row.host, HostCosts: make([]uint64, len(row.host))}
+			e.install(tb)
+			e.tbs[0], e.tbCount = tb, 1
+			for _, s := range row.steps {
+				switch s.op {
+				case "exec":
+					for i := 0; i < s.n; i++ {
+						e.exec(tb)
+					}
+				case "climb":
+					e.climb(tb)
+				case "drop":
+					if n := e.Invalidate(0, 1); n != 1 || e.tbs[0] != nil {
+						t.Fatalf("Invalidate dropped %d blocks", n)
+					}
+				case "reset-jit":
+					e.jit.Reset()
+				}
+			}
+			if tb.tier != row.wantTier || tb.climbAt != row.wantClimb {
+				t.Errorf("run state (%s, climbAt %d), want (%s, climbAt %d)", tb.tier, tb.climbAt, row.wantTier, row.wantClimb)
+			}
+			if e.TierStats != row.want {
+				t.Errorf("TierStats %+v\n           want %+v", e.TierStats, row.want)
+			}
+			if tb.tier == TierThreaded && tb.thunks == nil || tb.tier == TierNative && tb.native == nil {
+				t.Errorf("tier %s without its form: thunks %v native %v", tb.tier, tb.thunks != nil, tb.native != nil)
+			}
+		})
 	}
 }

@@ -145,9 +145,8 @@ func parameterize(window []arm.Instr, hostLen, id int, immParams bool) (*Rule, b
 
 // buildRandomStore installs rules parameterized from random sub-windows
 // of block (so lookups really hit) and of decoy (bucket noise).
-func buildRandomStore(r *rand.Rand, block, decoy []arm.Instr, hier bool, nRules int) *Store {
+func buildRandomStore(r *rand.Rand, block, decoy []arm.Instr, nRules int) *Store {
 	s := NewStore()
-	s.Hierarchical = hier
 	id := 1
 	for tries := 0; tries < 400 && s.Count() < nRules; tries++ {
 		src := block
@@ -181,44 +180,23 @@ func sameMatch(a, b matchResult) bool {
 	return a.rule == b.rule && a.l == b.l && a.ok == b.ok && reflect.DeepEqual(a.b, b.b)
 }
 
-// checkIndexAgainstStore asserts, at every position of block, that the
-// frozen Index and a BlockScanner over it return byte-identical results
-// to the locked Store paths: LongestMatch, ShortestMatch, and exact
-// Lookup at every window length.
-func checkIndexAgainstStore(t *testing.T, s *Store, ix *Index, sc *BlockScanner, block []arm.Instr) {
+// checkIndexAgainstStore asserts, at every position of block, that a
+// BlockScanner over the frozen Index (the engine's only lookup path)
+// returns byte-identical results to the locked Store reference:
+// LongestMatch, and exact Lookup at every window length.
+func checkIndexAgainstStore(t *testing.T, s *Store, sc *BlockScanner, block []arm.Instr) {
 	t.Helper()
 	for i := range block {
 		sr, sb, sl, sok := s.LongestMatch(block, i)
-		ir, ib, il, iok := ix.LongestMatch(block, i)
 		cr, cb, cl, cok := sc.LongestMatch(i)
 		want := matchResult{sr, sb, sl, sok}
-		if got := (matchResult{ir, ib, il, iok}); !sameMatch(got, want) {
-			t.Fatalf("pos %d: Index.LongestMatch %+v, Store %+v", i, got, want)
-		}
 		if got := (matchResult{cr, cb, cl, cok}); !sameMatch(got, want) {
 			t.Fatalf("pos %d: scanner LongestMatch %+v, Store %+v", i, got, want)
 		}
-
-		sr, sb, sl, sok = s.ShortestMatch(block, i)
-		ir, ib, il, iok = ix.ShortestMatch(block, i)
-		cr, cb, cl, cok = sc.ShortestMatch(i)
-		want = matchResult{sr, sb, sl, sok}
-		if got := (matchResult{ir, ib, il, iok}); !sameMatch(got, want) {
-			t.Fatalf("pos %d: Index.ShortestMatch %+v, Store %+v", i, got, want)
-		}
-		if got := (matchResult{cr, cb, cl, cok}); !sameMatch(got, want) {
-			t.Fatalf("pos %d: scanner ShortestMatch %+v, Store %+v", i, got, want)
-		}
-
 		for l := 1; l <= 6 && i+l <= len(block); l++ {
-			window := block[i : i+l]
-			lr, lb, lok := s.Lookup(window)
-			xr, xb, xok := ix.Lookup(window)
+			lr, lb, lok := s.Lookup(block[i : i+l])
 			mr, mb, mok := sc.Match(i, l)
 			want := matchResult{lr, lb, l, lok}
-			if got := (matchResult{xr, xb, l, xok}); !sameMatch(got, want) {
-				t.Fatalf("pos %d len %d: Index.Lookup %+v, Store %+v", i, l, got, want)
-			}
 			if got := (matchResult{mr, mb, l, mok}); !sameMatch(got, want) {
 				t.Fatalf("pos %d len %d: scanner Match %+v, Store %+v", i, l, got, want)
 			}
@@ -228,11 +206,11 @@ func checkIndexAgainstStore(t *testing.T, s *Store, ix *Index, sc *BlockScanner,
 
 // runIndexDifferential is the body shared by the deterministic test and
 // the native fuzz target.
-func runIndexDifferential(t *testing.T, seed int64, hier bool, nRules int) {
+func runIndexDifferential(t *testing.T, seed int64, nRules int) {
 	r := rand.New(rand.NewSource(seed))
 	block := genGuestBlock(r, 24+r.Intn(40))
 	decoy := genGuestBlock(r, 24)
-	s := buildRandomStore(r, block, decoy, hier, nRules)
+	s := buildRandomStore(r, block, decoy, nRules)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -242,23 +220,22 @@ func runIndexDifferential(t *testing.T, seed int64, hier bool, nRules int) {
 			ix.Count(), ix.MaxLen(), ix.Version(), s.Count(), s.MaxLen(), s.Version())
 	}
 	sc := ix.NewBlockScanner(block)
-	checkIndexAgainstStore(t, s, ix, sc, block)
+	checkIndexAgainstStore(t, s, sc, block)
 	sc.Reset(decoy) // scanner reuse across blocks
-	checkIndexAgainstStore(t, s, ix, sc, decoy)
+	checkIndexAgainstStore(t, s, sc, decoy)
 }
 
 // FuzzIndexMatchesStore is the differential fuzz target behind the CI
-// fuzz-smoke stage: for random rule sets over random guest blocks, the
-// frozen Index (and its BlockScanner) must return byte-identical results
+// fuzz-smoke stage: for random rule sets over random guest blocks, a
+// BlockScanner over the frozen Index must return byte-identical results
 // to the locked Store paths — same rule, same binding, same length — for
-// LongestMatch, ShortestMatch, and exact Lookup, in both the flat and
-// hierarchical (§7) indexing modes.
+// LongestMatch and exact Lookup.
 func FuzzIndexMatchesStore(f *testing.F) {
 	for _, seed := range []int64{1, 7, 20260805} {
-		f.Add(seed, false, uint8(12))
-		f.Add(seed, true, uint8(20))
+		f.Add(seed, uint8(12))
+		f.Add(seed, uint8(20))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, hier bool, nRules uint8) {
-		runIndexDifferential(t, seed, hier, int(nRules)%28+4)
+	f.Fuzz(func(t *testing.T, seed int64, nRules uint8) {
+		runIndexDifferential(t, seed, int(nRules)%28+4)
 	})
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // Index is an immutable snapshot of a Store built for the translation
-// hot loop: every lookup structure is frozen at Freeze time, so Lookup,
-// LongestMatch and ShortestMatch run without taking any lock. The match
-// results are byte-identical to the locked Store paths on the same rule
+// hot loop: every lookup structure is frozen at Freeze time, so a
+// BlockScanner over it matches without taking any lock. It is the only
+// lookup path the engine translates through. The match results are
+// byte-identical to Store.Lookup / Store.LongestMatch on the same rule
 // set (the bucket order — which decides ties between same-length rules —
-// is copied verbatim).
+// is copied verbatim); the differential tests hold it to that.
 //
 // Beyond lock elision the Index adds two §7-style accelerations:
 //
@@ -32,14 +33,11 @@ type Index struct {
 	// dense is the (mean, length, firstOp) candidate table, laid out as a
 	// flat array indexed (mean*lenDim + length-1)*opDim + firstOp — a
 	// bounds check and one multiply-add instead of hashing a struct key.
-	// Per-(mean, length, firstOp) lists are the only candidate table the
-	// snapshot needs, whatever the store's Hierarchical policy: a probe of
-	// the coarse byKey bucket filtered to the window's length can only
-	// ever match rules whose first opcode equals the window's (Match
-	// rejects at instruction 0 otherwise), and bucket appends happen in
-	// the same Add order for byKey and byFine, so the fine list is exactly
-	// the coarse bucket's viable subsequence — same candidates, same tie
-	// order, same winner.
+	// Store.Lookup probes the coarse byKey[mean] bucket filtered to the
+	// window's length, and can only ever match rules whose first opcode
+	// equals the window's (Match rejects at instruction 0 otherwise). A
+	// cell holds exactly that viable subsequence of the coarse bucket, in
+	// bucket order — same candidates, same tie order, same winner.
 	//
 	// Within a cell, candidates are grouped by the positional fingerprint
 	// of their full (Op, Cond, SetFlags) sequence: a rule can only match a
@@ -59,8 +57,15 @@ type Index struct {
 	lenMask [256]uint64
 }
 
-// shardSnap is one shard's frozen contribution to an Index: deep-copied
-// fine buckets (the slices are copied; the rules they point at are
+// fineKey names one dense cell of an Index.
+type fineKey struct {
+	mean    int
+	length  int
+	firstOp arm.Op
+}
+
+// shardSnap is one shard's frozen contribution to an Index: its coarse
+// buckets split by fineKey (fresh slices; the rules they point at are
 // immutable once installed) plus the shard's exact count and maxLen,
 // stamped with the shard version it reflects. A snap is immutable after
 // construction, so Freeze can stitch from it lock-free and cache it on
@@ -79,19 +84,22 @@ func (sh *shard) buildSnap() *shardSnap {
 		version: sh.version,
 		count:   sh.count,
 		maxLen:  sh.maxLen,
-		fine:    make(map[fineKey][]*Rule, len(sh.byFine)),
+		fine:    make(map[fineKey][]*Rule, len(sh.byKey)),
 	}
-	for k, bucket := range sh.byFine {
-		snap.fine[k] = append([]*Rule(nil), bucket...)
+	// Walking each coarse bucket in order keeps every fine list in the
+	// relative order Store.Lookup tries its candidates.
+	for mean, bucket := range sh.byKey {
+		for _, r := range bucket {
+			k := fineKey{mean: mean, length: len(r.Guest), firstOp: r.Guest[0].Op}
+			snap.fine[k] = append(snap.fine[k], r)
+		}
 	}
 	return snap
 }
 
 // Freeze snapshots the store into an immutable lock-free Index. The
 // snapshot carries the store's version counter, so callers can detect
-// staleness (Store.Version() moved on) and refreeze or fall back to the
-// locked paths. The snapshot's results match the locked store in either
-// Hierarchical mode (both modes pick the same winners; see byFine).
+// staleness (Store.Version() moved on) and refreeze.
 //
 // Freeze takes every shard's read lock (in shard order) only long enough
 // to capture per-shard snapshots, reusing each shard's cached snap when
@@ -195,8 +203,7 @@ func (s *Store) Freeze() *Index {
 		}
 	}
 	// Every installed rule appears in exactly one fine bucket whose key
-	// carries its (firstOp, length), so the fine keys reproduce the mask
-	// the byPattern sweep used to build.
+	// carries its (firstOp, length).
 	for _, sn := range snaps {
 		for k := range sn.fine {
 			if k.length >= 1 && k.length <= 64 {
@@ -224,18 +231,6 @@ func (ix *Index) hasLen(op arm.Op, l int) bool {
 		return true
 	}
 	return ix.lenMask[op]&(1<<(l-1)) != 0
-}
-
-// Lookup finds a rule matching the exact window, identically to
-// Store.Lookup but without locking.
-func (ix *Index) Lookup(window []arm.Instr) (*Rule, *Binding, bool) {
-	if len(window) == 0 {
-		return nil, nil, false
-	}
-	if !ix.hasLen(window[0].Op, len(window)) {
-		return nil, nil, false
-	}
-	return ix.lookupKeyed(window, HashKey(window), seqFingerprint(window))
 }
 
 // fpGroup is one fingerprint class of candidates inside a dense cell.
@@ -280,13 +275,11 @@ func seqFingerprint(w []arm.Instr) uint64 {
 	return fp
 }
 
-// lookupKeyed is Lookup with the mean-of-opcodes key and sequence
-// fingerprint already computed (both O(1) via BlockScanner prefix sums).
-// It probes the fine candidate list whatever the store's Hierarchical
-// policy was (see the dense field comment for why the candidate sequence
-// — and hence which rule wins a tie — is identical to Store.lookup in
-// both modes). A window whose key falls outside the table dims cannot
-// match any installed rule.
+// lookupKeyed probes one dense cell given the window's mean-of-opcodes
+// key and sequence fingerprint (both O(1) via BlockScanner prefix sums).
+// See the dense field comment for why the candidate sequence — and hence
+// which rule wins a tie — is identical to Store.Lookup. A window whose
+// key falls outside the table dims cannot match any installed rule.
 func (ix *Index) lookupKeyed(window []arm.Instr, mean int, fp uint64) (*Rule, *Binding, bool) {
 	l, op := len(window), int(window[0].Op)
 	if mean >= ix.meanDim || l > ix.lenDim || op >= ix.opDim {
@@ -320,53 +313,6 @@ func (ix *Index) clampLens(block []arm.Instr, i int) int {
 		}
 	}
 	return maxLen
-}
-
-// LongestMatch is Store.LongestMatch on the frozen snapshot: same scan
-// order, same results, no locks, and O(remaining window) total key
-// arithmetic per position instead of O(L²).
-func (ix *Index) LongestMatch(block []arm.Instr, i int) (*Rule, *Binding, int, bool) {
-	maxLen := ix.clampLens(block, i)
-	if maxLen < 1 {
-		return nil, nil, 0, false
-	}
-	sum := 0
-	fp, pow := uint64(0), uint64(1)
-	for k := i; k < i+maxLen; k++ {
-		sum += int(block[k].Op)
-		fp += instrFingerprint(block[k]) * pow
-		pow *= fpBase
-	}
-	for l := maxLen; l >= 1; l-- {
-		if ix.hasLen(block[i].Op, l) {
-			if r, b, ok := ix.lookupKeyed(block[i:i+l], sum/l, fp); ok {
-				return r, b, l, true
-			}
-		}
-		sum -= int(block[i+l-1].Op)
-		pow *= fpInv
-		fp -= instrFingerprint(block[i+l-1]) * pow
-	}
-	return nil, nil, 0, false
-}
-
-// ShortestMatch is Store.ShortestMatch on the frozen snapshot.
-func (ix *Index) ShortestMatch(block []arm.Instr, i int) (*Rule, *Binding, int, bool) {
-	maxLen := ix.clampLens(block, i)
-	sum := 0
-	fp, pow := uint64(0), uint64(1)
-	for l := 1; l <= maxLen; l++ {
-		sum += int(block[i+l-1].Op)
-		fp += instrFingerprint(block[i+l-1]) * pow
-		pow *= fpBase
-		if !ix.hasLen(block[i].Op, l) {
-			continue
-		}
-		if r, b, ok := ix.lookupKeyed(block[i:i+l], sum/l, fp); ok {
-			return r, b, l, true
-		}
-	}
-	return nil, nil, 0, false
 }
 
 // BlockScanner matches rule windows against one guest block with O(1)
@@ -434,17 +380,6 @@ func (sc *BlockScanner) Match(i, l int) (*Rule, *Binding, bool) {
 // LongestMatch is Store.LongestMatch at position i with O(1) keys.
 func (sc *BlockScanner) LongestMatch(i int) (*Rule, *Binding, int, bool) {
 	for l := sc.MaxLen(i); l >= 1; l-- {
-		if r, b, ok := sc.Match(i, l); ok {
-			return r, b, l, true
-		}
-	}
-	return nil, nil, 0, false
-}
-
-// ShortestMatch is Store.ShortestMatch at position i with O(1) keys.
-func (sc *BlockScanner) ShortestMatch(i int) (*Rule, *Binding, int, bool) {
-	maxLen := sc.MaxLen(i)
-	for l := 1; l <= maxLen; l++ {
 		if r, b, ok := sc.Match(i, l); ok {
 			return r, b, l, true
 		}

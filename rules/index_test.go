@@ -10,19 +10,23 @@ import (
 )
 
 // TestIndexDifferential sweeps the randomized Index-vs-Store differential
-// (the same body FuzzIndexMatchesStore explores) over fixed seeds in both
-// indexing modes, so the equivalence is exercised on every plain
-// `go test` run, not only under -fuzz.
+// (the same body FuzzIndexMatchesStore explores) over fixed seeds, so the
+// equivalence is exercised on every plain `go test` run, not only under
+// -fuzz.
 func TestIndexDifferential(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 8
 	}
 	for seed := 0; seed < seeds; seed++ {
-		for _, hier := range []bool{false, true} {
-			runIndexDifferential(t, int64(seed), hier, 4+seed%24)
-		}
+		runIndexDifferential(t, int64(seed), 4+seed%24)
 	}
+}
+
+// ixLookup probes one exact window against a snapshot the way the engine
+// does: through a scanner.
+func ixLookup(ix *Index, window []arm.Instr) (*Rule, *Binding, bool) {
+	return ix.NewBlockScanner(window).Match(0, len(window))
 }
 
 // TestFreezeVersioning: a snapshot is faithful while the store is
@@ -37,7 +41,7 @@ func TestFreezeVersioning(t *testing.T) {
 	if ix.Version() != 0 || ix.Count() != 0 {
 		t.Fatalf("empty snapshot version %d count %d", ix.Version(), ix.Count())
 	}
-	if _, _, _, ok := ix.LongestMatch([]arm.Instr{arm.MustParse("mov r1, #4")}, 0); ok {
+	if _, _, _, ok := ix.NewBlockScanner([]arm.Instr{arm.MustParse("mov r1, #4")}).LongestMatch(0); ok {
 		t.Fatal("empty snapshot matched")
 	}
 
@@ -74,7 +78,7 @@ func TestFreezeVersioning(t *testing.T) {
 	}
 	ix = s.Freeze()
 	window := []arm.Instr{arm.MustParse("mov r9, #11")}
-	r, _, ok := ix.Lookup(window)
+	r, _, ok := ixLookup(ix, window)
 	if !ok || r != better {
 		t.Fatalf("snapshot lookup returned %v, want the replacement", r)
 	}
@@ -108,7 +112,7 @@ func TestFreezeStitchCache(t *testing.T) {
 			second.Version(), second.Count(), s.Version(), first.Count()+1)
 	}
 	window := []arm.Instr{arm.MustParse("mov r2, #90")}
-	if _, _, ok := second.Lookup(window); !ok {
+	if _, _, ok := ixLookup(second, window); !ok {
 		t.Fatal("restitched index does not see the new rule")
 	}
 	// And the new stitch is itself cached.
@@ -117,7 +121,7 @@ func TestFreezeStitchCache(t *testing.T) {
 	}
 	// The first snapshot stays immutable and usable: concurrent holders of
 	// a pre-mutation Index are unaffected by later freezes.
-	if _, _, ok := first.Lookup(window); ok {
+	if _, _, ok := ixLookup(first, window); ok {
 		t.Fatal("old snapshot sees a rule added after it was frozen")
 	}
 }
@@ -168,15 +172,23 @@ func TestIndexLenMask(t *testing.T) {
 	if ix.hasLen(arm.SUB, 2) {
 		t.Fatal("mask claims a sub-first rule; the rule starts with add")
 	}
-	block := arm.MustParseSeq("add r4, r4, r5; sub r4, r4, r6; mov r7, #5")
-	if _, _, l, ok := ix.LongestMatch(block, 0); !ok || l != 2 {
+	sc := ix.NewBlockScanner(arm.MustParseSeq("add r4, r4, r5; sub r4, r4, r6; mov r7, #5"))
+	if _, _, l, ok := sc.LongestMatch(0); !ok || l != 2 {
 		t.Fatalf("LongestMatch at 0: len %d ok %v, want 2 true", l, ok)
 	}
-	if _, _, l, ok := ix.LongestMatch(block, 2); !ok || l != 1 {
+	if _, _, l, ok := sc.LongestMatch(2); !ok || l != 1 {
 		t.Fatalf("LongestMatch at 2: len %d ok %v, want 1 true", l, ok)
 	}
-	if _, _, _, ok := ix.LongestMatch(block, 1); ok {
+	if _, _, _, ok := sc.LongestMatch(1); ok {
 		t.Fatal("LongestMatch at 1 matched; no rule starts with sub")
+	}
+	// The mask also clamps the scan: no add-first rule is longer than 2,
+	// and nothing starts with sub.
+	if got := sc.MaxLen(0); got != 2 {
+		t.Fatalf("MaxLen at 0 = %d, want 2", got)
+	}
+	if got := sc.MaxLen(1); got != 0 {
+		t.Fatalf("MaxLen at 1 = %d, want 0", got)
 	}
 }
 

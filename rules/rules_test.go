@@ -196,10 +196,16 @@ func TestStoreLookupAndLongestMatch(t *testing.T) {
 	if b.Regs[0] != arm.R1 {
 		t.Errorf("binding %v", b.Regs)
 	}
-	// Shortest-first ablation picks the single-instruction rule.
-	r, _, l, ok = s.ShortestMatch(block, 0)
-	if !ok || r.ID != 5 || l != 1 {
-		t.Errorf("shortest match chose rule %v len %d", r, l)
+	// The exact-window probe still finds the single-instruction rule the
+	// longest-first scan passed over.
+	if r, _, ok := s.Lookup(block[:1]); !ok || r.ID != 5 {
+		t.Errorf("Lookup of the 1-instruction window chose rule %v", r)
+	}
+	if _, _, ok := s.Lookup(arm.MustParseSeq("sub r1, r1, #1; add r1, r1, r0")); ok {
+		t.Error("Lookup matched a reordered window")
+	}
+	if _, _, ok := s.Lookup(nil); ok {
+		t.Error("empty window must not match")
 	}
 }
 
@@ -230,6 +236,12 @@ func TestStoreDedupPrefersFewerHostInstrs(t *testing.T) {
 	worse.Host = long.Host
 	if s.Add(worse) {
 		t.Error("worse rule accepted")
+	}
+	// So must an equally good one: the first learned keeps its place.
+	same := paperRule()
+	same.ID = 13
+	if s.Add(same) || s.Count() != 1 {
+		t.Errorf("equal-length duplicate accepted (Count = %d)", s.Count())
 	}
 }
 
@@ -308,30 +320,6 @@ func TestReadRulesErrors(t *testing.T) {
 		if _, err := ReadRules(bytes.NewReader([]byte(bad))); err == nil {
 			t.Errorf("ReadRules(%q): expected error", bad)
 		}
-	}
-}
-
-func TestHierarchicalLookup(t *testing.T) {
-	s := NewStore()
-	s.Add(paperRule())
-	s.Add(orRule())
-	s.Hierarchical = true
-	r, b, ok := s.Lookup(arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1"))
-	if !ok || r.ID != 1 || b.Imms[0] != 1 {
-		t.Fatalf("hierarchical lookup failed: %v %v %v", r, b, ok)
-	}
-	if _, _, ok := s.Lookup(arm.MustParseSeq("sub r1, r1, #1; add r1, r1, r0")); ok {
-		t.Error("hierarchical lookup matched a reordered window")
-	}
-	if _, _, ok := s.Lookup(nil); ok {
-		t.Error("empty window must not match")
-	}
-	// Dedup replacement keeps both indexes consistent.
-	better := paperRule()
-	better.ID = 99
-	s.Add(better) // same pattern & host length: rejected
-	if s.Count() != 2 {
-		t.Fatalf("Count = %d", s.Count())
 	}
 }
 

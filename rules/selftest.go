@@ -9,13 +9,13 @@ import (
 )
 
 // CheckInvariants verifies the store's internal indexes agree with each
-// other: every rule lives in its mean key's shard, each shard's coarse
-// (byKey) and fine (byFine) buckets hold exactly the rules its byPattern
-// holds, per-shard and store-wide count/maxLen match reality, and no
-// bucket removal ever failed to find its rule (the Add replace path
-// records such failures instead of silently drifting). It is the
-// store-level companion of Rule.SelfTest: cheap enough to run in tests
-// after any mutation pattern that exercises replacement.
+// other: every rule lives in its mean key's shard, each shard's byKey
+// buckets hold exactly the rules its byPattern holds, per-shard and
+// store-wide count/maxLen match reality, and no bucket removal ever failed
+// to find its rule (the Add replace path records such failures instead of
+// silently drifting). It is the store-level companion of Rule.SelfTest:
+// cheap enough to run in tests after any mutation pattern that exercises
+// replacement.
 func (s *Store) CheckInvariants() error {
 	totalCount, totalMaxLen := 0, 0
 	for si := range s.shards {
@@ -54,7 +54,7 @@ func (s *Store) checkShard(si int, sh *shard) error {
 	if got := len(sh.byPattern); got != sh.count {
 		return fmt.Errorf("rules: shard %d: count %d but %d patterns", si, sh.count, got)
 	}
-	coarse, fine, maxLen := 0, 0, 0
+	coarse, maxLen := 0, 0
 	for key, bucket := range sh.byKey {
 		if s.shardFor(key) != sh {
 			return fmt.Errorf("rules: shard %d holds coarse bucket %d owned by shard %d",
@@ -74,25 +74,8 @@ func (s *Store) checkShard(si int, sh *shard) error {
 			}
 		}
 	}
-	for key, bucket := range sh.byFine {
-		if s.shardFor(key.mean) != sh {
-			return fmt.Errorf("rules: shard %d holds fine bucket %v owned by shard %d",
-				si, key, key.mean%len(s.shards))
-		}
-		for _, r := range bucket {
-			fine++
-			if fineKeyOf(r.Guest) != key {
-				return fmt.Errorf("rules: rule %d in fine bucket %v, key %v",
-					r.ID, key, fineKeyOf(r.Guest))
-			}
-			if sh.byPattern[patternKey(r.Guest)] != r {
-				return fmt.Errorf("rules: fine bucket %v holds rule %d not in byPattern", key, r.ID)
-			}
-		}
-	}
-	if coarse != sh.count || fine != sh.count {
-		return fmt.Errorf("rules: shard %d: count %d but %d coarse / %d fine entries",
-			si, sh.count, coarse, fine)
+	if coarse != sh.count {
+		return fmt.Errorf("rules: shard %d: count %d but %d bucket entries", si, sh.count, coarse)
 	}
 	if sh.count > 0 && maxLen != sh.maxLen {
 		return fmt.Errorf("rules: shard %d: maxLen %d but longest installed pattern is %d",

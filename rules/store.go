@@ -42,9 +42,8 @@ const DefaultShards = 16
 // pure function of its content, so the sharded store converges on exactly
 // the rule set a single-lock store would (see FuzzShardedStoreMatchesSingle).
 //
-// A Store is safe for concurrent use. The PreferFirst and Hierarchical
-// policy fields are configuration — set them before sharing the store
-// across goroutines.
+// A Store is safe for concurrent use. The PreferFirst policy field is
+// configuration — set it before sharing the store across goroutines.
 type Store struct {
 	shards []shard
 	// version is the store-wide mutation counter: every shard mutation
@@ -64,9 +63,6 @@ type Store struct {
 	// of the fewest-host-instructions one (ablation of the §6.1 redundant-
 	// rule selection policy).
 	PreferFirst bool
-	// Hierarchical switches Lookup to the fine-grained index (§7's
-	// "more efficient management scheme").
-	Hierarchical bool
 	// tel holds the telemetry handles installed by SetTelemetry (see
 	// telemetry.go); atomic so lookup/insert paths read it lock-free.
 	tel telAtomicPtr
@@ -91,9 +87,8 @@ type stitchedIndex struct {
 // mean key, so a rule's whole lifecycle — insert, dedup, replacement,
 // quarantine — happens under one shard lock.
 type shard struct {
-	mu     sync.RWMutex
-	byKey  map[int][]*Rule
-	byFine map[fineKey][]*Rule
+	mu    sync.RWMutex
+	byKey map[int][]*Rule
 	// byPattern deduplicates on the canonical guest-pattern string.
 	byPattern map[string]*Rule
 	// quarantined holds rules pulled from the lookup structures after a
@@ -120,12 +115,6 @@ type shard struct {
 	snap atomic.Pointer[shardSnap]
 }
 
-type fineKey struct {
-	mean    int
-	length  int
-	firstOp arm.Op
-}
-
 // NewStore returns an empty rule store with DefaultShards shards.
 func NewStore() *Store { return NewStoreShards(DefaultShards) }
 
@@ -140,7 +129,6 @@ func NewStoreShards(n int) *Store {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.byKey = map[int][]*Rule{}
-		sh.byFine = map[fineKey][]*Rule{}
 		sh.byPattern = map[string]*Rule{}
 		sh.quarantinedPat = map[string]bool{}
 	}
@@ -162,10 +150,6 @@ func (s *Store) ShardVersion(i int) uint64 {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.version
-}
-
-func fineKeyOf(seq []arm.Instr) fineKey {
-	return fineKey{mean: HashKey(seq), length: len(seq), firstOp: seq[0].Op}
 }
 
 // patternKey canonicalizes the parameterized guest sequence. Parameters
@@ -268,14 +252,11 @@ func (s *Store) addLocked(sh *shard, key int, r *Rule) bool {
 		if s.PreferFirst || len(prev.Host) <= len(r.Host) {
 			return false
 		}
-		// Replace: drop prev from its buckets. A missing bucket entry
-		// means the indexes disagree with byPattern; record it so the
+		// Replace: drop prev from its bucket. A missing bucket entry
+		// means byKey disagrees with byPattern; record it so the
 		// selftest (CheckInvariants) reports the drift instead of letting
 		// count silently diverge and a stale rule keep winning lookups.
 		if !removeRule(sh.byKey, HashKey(prev.Guest), prev) {
-			sh.inconsistent++
-		}
-		if !removeRule(sh.byFine, fineKeyOf(prev.Guest), prev) {
 			sh.inconsistent++
 		}
 		sh.count--
@@ -283,8 +264,6 @@ func (s *Store) addLocked(sh *shard, key int, r *Rule) bool {
 	}
 	sh.byPattern[pk] = r
 	sh.byKey[key] = append(sh.byKey[key], r)
-	fk := fineKeyOf(r.Guest)
-	sh.byFine[fk] = append(sh.byFine[fk], r)
 	if len(r.Guest) > sh.maxLen {
 		sh.maxLen = len(r.Guest)
 	}
@@ -305,7 +284,7 @@ func (s *Store) addLocked(sh *shard, key int, r *Rule) bool {
 // was present. An emptied bucket is deleted outright: Freeze sizes its
 // dense table from the live keys, so a lingering empty bucket would make
 // it index a table sized for rules that no longer exist.
-func removeRule[K comparable](m map[K][]*Rule, key K, r *Rule) bool {
+func removeRule(m map[int][]*Rule, key int, r *Rule) bool {
 	bucket := m[key]
 	for i, cand := range bucket {
 		if cand == r {
@@ -396,9 +375,6 @@ func (s *Store) pullShard(sh *shard, id int, quarantine bool) int {
 	sort.Slice(hits, func(i, j int) bool { return hits[i].pk < hits[j].pk })
 	for _, v := range hits {
 		if !removeRule(sh.byKey, HashKey(v.r.Guest), v.r) {
-			sh.inconsistent++
-		}
-		if !removeRule(sh.byFine, fineKeyOf(v.r.Guest), v.r) {
 			sh.inconsistent++
 		}
 		delete(sh.byPattern, v.pk)
@@ -520,8 +496,10 @@ func (s *Store) All() []*Rule {
 }
 
 // Lookup finds a rule matching the exact window (same length), trying the
-// bucket selected by the mean-of-opcodes key (or the hierarchical index
-// when enabled). Only the window's own shard is locked.
+// bucket selected by the mean-of-opcodes key. Only the window's own shard
+// is locked. Lookup and LongestMatch are the paper's §4 scheme as written:
+// the engine translates through a frozen Index instead (see Freeze), and
+// these two are the reference the differential tests hold it to.
 func (s *Store) Lookup(window []arm.Instr) (*Rule, *Binding, bool) {
 	if len(window) == 0 {
 		return nil, nil, false
@@ -530,20 +508,6 @@ func (s *Store) Lookup(window []arm.Instr) (*Rule, *Binding, bool) {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return s.lookupShard(sh, window, key)
-}
-
-// lookupShard is Lookup inside one shard; callers hold sh.mu and pass the
-// window's precomputed mean key (which selected the shard).
-func (s *Store) lookupShard(sh *shard, window []arm.Instr, key int) (*Rule, *Binding, bool) {
-	if s.Hierarchical {
-		for _, r := range sh.byFine[fineKeyOf(window)] {
-			if b, ok := r.Match(window); ok {
-				return r, b, true
-			}
-		}
-		return nil, nil, false
-	}
 	for _, r := range sh.byKey[key] {
 		if len(r.Guest) != len(window) {
 			continue
@@ -564,20 +528,6 @@ func (s *Store) LongestMatch(block []arm.Instr, i int) (*Rule, *Binding, int, bo
 		maxLen = hint
 	}
 	for l := maxLen; l >= 1; l-- {
-		if r, b, ok := s.Lookup(block[i : i+l]); ok {
-			return r, b, l, true
-		}
-	}
-	return nil, nil, 0, false
-}
-
-// ShortestMatch is the ablation variant that prefers 1-instruction rules.
-func (s *Store) ShortestMatch(block []arm.Instr, i int) (*Rule, *Binding, int, bool) {
-	maxLen := len(block) - i
-	if hint := int(s.maxLenHint.Load()); maxLen > hint {
-		maxLen = hint
-	}
-	for l := 1; l <= maxLen; l++ {
 		if r, b, ok := s.Lookup(block[i : i+l]); ok {
 			return r, b, l, true
 		}

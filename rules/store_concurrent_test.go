@@ -51,7 +51,7 @@ func TestStoreConcurrentAddLookup(t *testing.T) {
 					// Snapshots race with inserts: Freeze must see a
 					// consistent store and stay usable afterwards.
 					ix := s.Freeze()
-					ix.LongestMatch([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r5, #%d", n))}, 0)
+					ix.NewBlockScanner([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r5, #%d", n))}).LongestMatch(0)
 				}
 			}
 		}(w)
@@ -133,7 +133,7 @@ func TestStoreConcurrentReplace(t *testing.T) {
 	// The survivors must also be what a frozen snapshot serves.
 	ix := s.Freeze()
 	for n := 0; n < patterns; n++ {
-		r, _, ok := ix.Lookup([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r8, #%d", n))})
+		r, _, ok := ixLookup(ix, []arm.Instr{arm.MustParse(fmt.Sprintf("mov r8, #%d", n))})
 		if !ok || len(r.Host) != 1 {
 			t.Fatalf("snapshot pattern %d: ok=%v hostLen=%d", n, ok, len(r.Host))
 		}
@@ -162,7 +162,7 @@ func TestStoreQuarantine(t *testing.T) {
 	if _, _, ok := s.Lookup(window); ok {
 		t.Error("quarantined rule still matches via Lookup")
 	}
-	if _, _, ok := s.Freeze().Lookup(window); ok {
+	if _, _, ok := ixLookup(s.Freeze(), window); ok {
 		t.Error("quarantined rule still matches via a fresh snapshot")
 	}
 	if s.Count() != 7 {
@@ -216,7 +216,7 @@ func TestStoreConcurrentQuarantineFreeze(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				ix := s.Freeze()
 				window := []arm.Instr{arm.MustParse(fmt.Sprintf("mov r4, #%d", i%patterns))}
-				ix.LongestMatch(window, 0)
+				ix.NewBlockScanner(window).LongestMatch(0)
 				s.Lookup(window)
 				_ = s.Quarantined()
 				_ = s.IsQuarantined(i % patterns)
@@ -236,7 +236,7 @@ func TestStoreConcurrentQuarantineFreeze(t *testing.T) {
 	ix := s.Freeze()
 	for i := 0; i < quarantines; i++ {
 		n := i * 3 // immRule(id, n) has id = n+1
-		if _, _, ok := ix.Lookup([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r6, #%d", n))}); ok {
+		if _, _, ok := ixLookup(ix, []arm.Instr{arm.MustParse(fmt.Sprintf("mov r6, #%d", n))}); ok {
 			t.Fatalf("quarantined pattern %d survives in the final snapshot", n)
 		}
 	}

@@ -72,14 +72,14 @@ func TestStoreQuarantineShardConfined(t *testing.T) {
 	// The stale and fresh snapshots must reflect the quarantine exactly.
 	winA := []arm.Instr{arm.MustParse("and r3, r3, #7")}
 	winB := []arm.Instr{arm.MustParse("add r3, r3, #7")}
-	if _, _, ok := ix0.Lookup(winA); !ok {
+	if _, _, ok := ixLookup(ix0, winA); !ok {
 		t.Error("pre-quarantine snapshot lost the victim rule")
 	}
-	if _, _, ok := ix1.Lookup(winA); ok {
+	if _, _, ok := ixLookup(ix1, winA); ok {
 		t.Error("post-quarantine snapshot still serves the victim rule")
 	}
 	for _, ix := range []*Index{ix0, ix1} {
-		if _, _, ok := ix.Lookup(winB); !ok {
+		if _, _, ok := ixLookup(ix, winB); !ok {
 			t.Error("bystander rule missing from a snapshot")
 		}
 	}
@@ -132,7 +132,7 @@ func TestStoreConcurrentShardConfinement(t *testing.T) {
 					return
 				}
 				ix := s.Freeze()
-				if _, _, ok := ix.Lookup(window); !ok {
+				if _, _, ok := ixLookup(ix, window); !ok {
 					t.Errorf("bystander pattern %d missing from snapshot", i%8)
 					return
 				}
@@ -164,8 +164,6 @@ func runShardDifferential(t *testing.T, seed int64, nOps uint8) {
 	decoy := genGuestBlock(r, 16)
 	sharded := NewStoreShards(DefaultShards)
 	single := NewStoreShards(1)
-	hier := r.Intn(2) == 0
-	sharded.Hierarchical, single.Hierarchical = hier, hier
 
 	id := 1
 	var installed []int
@@ -208,8 +206,8 @@ func runShardDifferential(t *testing.T, seed int64, nOps uint8) {
 			// mutations; the snapshots must stay internally usable.
 			ixA, ixB := sharded.Freeze(), single.Freeze()
 			i := r.Intn(len(block))
-			ra, ba, la, oka := ixA.LongestMatch(block, i)
-			rb, bb, lb, okb := ixB.LongestMatch(block, i)
+			ra, ba, la, oka := ixA.NewBlockScanner(block).LongestMatch(i)
+			rb, bb, lb, okb := ixB.NewBlockScanner(block).LongestMatch(i)
 			if !sameMatch(matchResult{ra, ba, la, oka}, matchResult{rb, bb, lb, okb}) {
 				t.Fatalf("seed %d op %d: interleaved snapshots diverge at pos %d", seed, op, i)
 			}
@@ -250,16 +248,22 @@ func runShardDifferential(t *testing.T, seed int64, nOps uint8) {
 		t.Fatalf("seed %d: snapshot metadata diverges", seed)
 	}
 	for _, blk := range [][]arm.Instr{block, decoy} {
+		scA, scB := ixA.NewBlockScanner(blk), ixB.NewBlockScanner(blk)
+		// Each snapshot against its own store (scanner LongestMatch and
+		// every exact window), then the two stores against each other.
+		checkIndexAgainstStore(t, sharded, scA, blk)
+		checkIndexAgainstStore(t, single, scB, blk)
 		for i := range blk {
 			want := func(r *Rule, b *Binding, l int, ok bool) matchResult { return matchResult{r, b, l, ok} }
-			if got, exp := want(ixA.LongestMatch(blk, i)), want(ixB.LongestMatch(blk, i)); !sameMatch(got, exp) {
-				t.Fatalf("seed %d pos %d: LongestMatch sharded %+v single %+v", seed, i, got, exp)
-			}
-			if got, exp := want(ixA.ShortestMatch(blk, i)), want(ixB.ShortestMatch(blk, i)); !sameMatch(got, exp) {
-				t.Fatalf("seed %d pos %d: ShortestMatch sharded %+v single %+v", seed, i, got, exp)
-			}
 			if got, exp := want(sharded.LongestMatch(blk, i)), want(single.LongestMatch(blk, i)); !sameMatch(got, exp) {
 				t.Fatalf("seed %d pos %d: locked LongestMatch sharded %+v single %+v", seed, i, got, exp)
+			}
+			for l := 1; l <= 6 && i+l <= len(blk); l++ {
+				ra, ba, oka := scA.Match(i, l)
+				rb, bb, okb := scB.Match(i, l)
+				if got, exp := (matchResult{ra, ba, l, oka}), (matchResult{rb, bb, l, okb}); !sameMatch(got, exp) {
+					t.Fatalf("seed %d pos %d len %d: Match sharded %+v single %+v", seed, i, l, got, exp)
+				}
 			}
 		}
 	}

@@ -9,7 +9,7 @@
 #   ./ci.sh fuzz    # fuzz-smoke: each native fuzz target for $FUZZTIME (30s)
 #   ./ci.sh faults  # fault-injection matrix + quarantine/refreeze race gate
 #   ./ci.sh bench   # bench guard: fig8 quick sweep + parallel-learn speedup gate
-#   ./ci.sh tiers   # tiered execution: cross-tier golden differential + threaded speedup gate
+#   ./ci.sh tiers   # tiered execution: cross-tier golden differential + tier speedup and rules<=qemu native gates
 #   ./ci.sh telemetry # disarmed-overhead gate + live /metrics endpoint smoke
 #   ./ci.sh dist    # rule-distribution: contention gate + ruleserve/dbtrun smoke
 #   ./ci.sh chaos   # network fault matrix + chaos differential gate + cache-fallback smoke
@@ -47,6 +47,7 @@ run_fuzz() {
 	go test ./dbt -run '^$' -fuzz '^FuzzEngineRecovers$' -fuzztime "$fuzztime"
 	go test ./dbt -run '^$' -fuzz '^FuzzThreadedMatchesStep$' -fuzztime "$fuzztime"
 	go test ./dbt -run '^$' -fuzz '^FuzzNativeMatchesStep$' -fuzztime "$fuzztime"
+	go test ./x86/native -run '^$' -fuzz '^FuzzNativeEmit$' -fuzztime "$fuzztime"
 	go test ./rules -run '^$' -fuzz '^FuzzIndexMatchesStore$' -fuzztime "$fuzztime"
 	go test ./rules -run '^$' -fuzz '^FuzzShardedStoreMatchesSingle$' -fuzztime "$fuzztime"
 	go test ./mine -run '^$' -fuzz '^FuzzMineCandidateKey$' -fuzztime "$fuzztime"
@@ -96,15 +97,18 @@ run_tiers() {
 	# and every corpus program must produce a byte-identical StatsSnapshot
 	# whichever tier runs it — the faster tiers are wall-clock only.
 	go test ./x86 -count=1 -run '^(TestThunks|TestBuildThunks|TestRunThunks)'
-	go test ./x86/native -count=1 -run '^TestNative'
+	go test ./x86/native -count=1 -run '^(TestNative|TestFlagsLiveAfter|TestFuzzSeeds)'
 	go test ./dbt -count=1 -v \
 		-run '^(TestTiersAgreeFixed|TestTierLifecycle|TestThreeTierLifecycle|TestParseTier)$'
 	go test ./bench -count=1 -timeout 10m -v -run '^TestTierGoldenDifferential$'
 	# Perf: a warm run under the threaded tier must beat the switch
-	# interpreter by >= 15% wall-clock, and the native tier must beat
-	# threaded by >= 30% where the back end exists (auto-skips below 4
-	# CPUs; the native half also skips on non-amd64 hosts).
-	go test ./bench -count=1 -timeout 10m -v -run '^TestDispatchTierSpeedup$'
+	# interpreter by >= 15% wall-clock, the native tier must beat
+	# threaded by >= 30% where the back end exists, and in the native
+	# tier the rule translation must run no slower than the TCG one
+	# (auto-skip below 4 CPUs; the native gates also skip on non-amd64
+	# hosts).
+	go test ./bench -count=1 -timeout 10m -v \
+		-run '^(TestDispatchTierSpeedup|TestRulesNativeBeatsQemuNative)$'
 }
 
 # fetch URL to stdout, with whichever http client the machine has.

@@ -1,6 +1,7 @@
 package dbt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -199,6 +200,11 @@ type Engine struct {
 	idx  *rules.Index
 	scan *rules.BlockScanner
 	st   *x86.State
+	// env is the resident page of st.Mem holding the guest CPU state
+	// block, held from the first Run on (pages never move, see
+	// mach.Memory.PageBase) so the dispatch loop reads the guest pc
+	// without a page lookup.
+	env *[mach.PageSize]byte
 	// pageGen holds per-page generation counters for TB invalidation
 	// (tbPageShift instructions per page); a TB whose Gen lags its entry
 	// page's counter is retranslated at dispatch.
@@ -275,7 +281,13 @@ func (e *Engine) scanner(block []arm.Instr) *rules.BlockScanner {
 	return e.scan
 }
 
-func (e *Engine) readEnv(addr uint32) uint32   { return e.st.Mem.Read32(addr) }
+// readEnv reads one word of the CPU state block through e.env, counted
+// exactly as Memory.Read32 counts it.
+func (e *Engine) readEnv(addr uint32) uint32 {
+	e.st.Mem.Reads += 4
+	return binary.LittleEndian.Uint32(e.env[addr&(mach.PageSize-1):])
+}
+
 func (e *Engine) setEnv(addr uint32, v uint32) { e.st.Mem.Write32(addr, v) }
 
 // Mem exposes the shared guest/host memory (for input setup).
@@ -315,6 +327,7 @@ func (e *Engine) Run(fn string, args []uint32, maxGuestInstrs uint64) (uint32, e
 	e.setEnv(EnvZF, 1)
 	e.setEnv(EnvCF, 0)
 	e.setEnv(EnvVF, 0)
+	e.env = e.st.Mem.PageBase(EnvBase)
 
 	e.curTB = nil
 	for {

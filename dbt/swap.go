@@ -38,12 +38,15 @@ func (e *Engine) OfferRules(store *rules.Store) {
 
 // adoptOffered installs a pending offer, if any. Called only at safe
 // points: no TB is executing, so flushing the cache cannot pull code out
-// from under a running block.
+// from under a running block. The dispatch loop calls it between every
+// two blocks, so the no-offer path is a plain load; the Swap (a full
+// barrier) runs only once an offer is seen, and still returns the newest
+// one if another landed in between.
 func (e *Engine) adoptOffered() {
-	o := e.offered.Swap(nil)
-	if o == nil {
+	if e.offered.Load() == nil {
 		return
 	}
+	o := e.offered.Swap(nil)
 	e.Rules = o.store
 	e.idx = o.idx
 	e.scan = nil

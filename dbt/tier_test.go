@@ -51,8 +51,9 @@ var tierConfigs = []struct {
 
 // checkTiersAgree runs one program under the interpreter tier and every
 // tierConfigs entry, and requires the return value, the full Stats
-// struct, and guest-visible memory to be bit-identical — the determinism
-// contract neither threading nor native compilation may break.
+// struct, guest-visible memory and the memory access counters to be
+// bit-identical — the determinism contract neither threading nor native
+// compilation may break.
 func checkTiersAgree(t *testing.T, label, src string, args []uint32) {
 	t.Helper()
 	for _, backend := range []Backend{BackendQEMU, BackendRules} {
@@ -73,6 +74,12 @@ func checkTiersAgree(t *testing.T, label, src string, args []uint32) {
 			}
 			if !e.Mem().Equal(base.Mem()) {
 				t.Fatalf("%s: memory diverges from interp tier\n%s", tag, src)
+			}
+			// The access counters too: emitted code keeps them in registers
+			// and drains them per block exit, bails included.
+			if m, bm := e.Mem(), base.Mem(); m.Reads != bm.Reads || m.Writes != bm.Writes {
+				t.Fatalf("%s: access counters %d/%d, interp tier %d/%d\n%s",
+					tag, m.Reads, m.Writes, bm.Reads, bm.Writes, src)
 			}
 			if e.TierStats.ThunkBuildFails != 0 {
 				t.Fatalf("%s: %d thunk builds failed on engine-generated code",
@@ -121,6 +128,27 @@ func TestTiersAgreeFixed(t *testing.T) {
 		src := genDBTProgram(r)
 		args := []uint32{uint32(r.Int31n(2000) - 1000), uint32(r.Int31n(2000) - 1000)}
 		checkTiersAgree(t, fmt.Sprintf("iter %d", it), src, args)
+	}
+}
+
+// TestReadEnvMatchesRead32 pins the dispatch loop's shortcut: a word of
+// the CPU state block read through the held env page is the word
+// Memory.Read32 returns, counted as the same four bytes.
+func TestReadEnvMatchesRead32(t *testing.T) {
+	e, ret := runUnderTier(t, "readenv", dbtTestSrc, []uint32{20, 3}, BackendQEMU, TierAuto, 0, 0)
+	m := e.Mem()
+	for _, addr := range []uint32{EnvReg(0), EnvPC, EnvZF} {
+		before := m.Reads
+		got := e.readEnv(addr)
+		if m.Reads != before+4 {
+			t.Fatalf("readEnv(%#x) counted %d bytes, want 4", addr, m.Reads-before)
+		}
+		if want := m.Read32(addr); got != want {
+			t.Fatalf("readEnv(%#x) = %#x, Read32 = %#x", addr, got, want)
+		}
+	}
+	if got := e.readEnv(EnvReg(0)); got != ret {
+		t.Fatalf("readEnv(r0) = %d, Run returned %d", got, ret)
 	}
 }
 

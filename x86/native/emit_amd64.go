@@ -14,20 +14,22 @@ import (
 func Supported() bool { return true }
 
 // Register convention inside emitted code. The trampoline pins the
-// virtual machine state and the native context; everything else is
-// scratch. SP, BP, BX, R14 (the goroutine pointer) and R15 are never
+// virtual machine state and the native context and zeroes the four
+// accumulators, which the epilogue drains; AX, CX, DX and R8-R10 are
+// scratch. SP, BP, R14 (the goroutine pointer) and R15 are never
 // touched, which is what lets the trampoline be a bare CALL with no
-// spills.
+// spills (every other register is caller-saved under the Go ABI).
 const (
 	rAX = 0
 	rCX = 1
 	rDX = 2
+	rBX = 3 // Memory.Reads accumulator
 	rSI = 6 // cycle accumulator
 	rDI = 7 // instruction-count accumulator
 	r8  = 8
 	r9  = 9
-	r10 = 10
-	r11 = 11
+	r10 = 10 // host base of the probed guest page
+	r11 = 11 // Memory.Writes accumulator
 	// rState holds *x86.State, rCtx holds *Ctx for the block's duration.
 	rState = 12
 	rCtx   = 13
@@ -150,17 +152,19 @@ func (a *asm) movImmR(reg int, v uint32) {
 	a.u32(v)
 }
 
-// aluImmR emits an 81/83-group op (slash selects it) with an immediate
-// against a 32-bit register.
-func (a *asm) aluImmR(slash, reg int, v int32) {
+// aluImm emits an 81/83-group op (slash selects it) with an immediate
+// against a 32-bit (w false) or 64-bit register.
+func (a *asm) aluImm(w bool, slash, reg int, v int32) {
 	if v >= -128 && v <= 127 {
-		a.insR(false, []byte{0x83}, slash, reg)
+		a.insR(w, []byte{0x83}, slash, reg)
 		a.raw(byte(v))
 	} else {
-		a.insR(false, []byte{0x81}, slash, reg)
+		a.insR(w, []byte{0x81}, slash, reg)
 		a.u32(uint32(v))
 	}
 }
+
+func (a *asm) aluImmR(slash, reg int, v int32) { a.aluImm(false, slash, reg, v) }
 
 // shiftImmR emits a C1-group shift by immediate on a 32-bit register.
 func (a *asm) shiftImmR(slash, reg int, n uint32) {
@@ -168,34 +172,53 @@ func (a *asm) shiftImmR(slash, reg int, n uint32) {
 	a.raw(byte(n))
 }
 
-// ALU opcode tables, indexed by x86.Op: the r32→rm32 form and the
-// 81-group /digit for the same operation.
-var aluRM = map[x86.Op]byte{
+// aluRM is the r32→rm32 opcode of each two-operand ALU operation,
+// indexed by x86.Op.
+var aluRM = [...]byte{
 	x86.ADD: 0x01, x86.ADC: 0x11, x86.SUB: 0x29, x86.SBB: 0x19,
 	x86.AND: 0x21, x86.OR: 0x09, x86.XOR: 0x31, x86.CMP: 0x39,
 	x86.TEST: 0x85,
 }
 
+// pcInfo is what the emitter knows about one host instruction.
+type pcInfo struct {
+	// leader marks the first instruction of a straight-line segment:
+	// pc 0, every in-range branch target, every pc after a branch.
+	leader bool
+	// needBail marks a pc whose body can bail; bail is the offset of its
+	// stub once emitted.
+	needBail bool
+	// live is the mask of State flags read after this instruction before
+	// being overwritten (see flagsLiveAfter): the only ones it stores.
+	// liveIn is the same on entry to it.
+	live   uint8
+	liveIn uint8
+	// restCost and restLen are the summed cycle cost and the count of
+	// the instructions from this one to the end of its segment — what a
+	// leader (or a resume entry) charges and a bail stub reverses.
+	restCost int32
+	restLen  int32
+	// body is the offset of the inline code: a leader's charge, any
+	// other instruction's body.
+	body int32
+	bail int32
+}
+
 // emitter compiles one block.
 type emitter struct {
-	a     asm
-	host  []x86.Instr
-	costs []uint64
-	// labels[pc] is the code offset of instruction pc; labels[len] is
-	// the fall-off-the-end exit stub.
-	labels []int32
+	a    asm
+	host []x86.Instr
+	// info[pc] describes instruction pc; info[len].body is the
+	// fall-off-the-end exit stub.
+	info   []pcInfo
 	epilog int32
-	// fixups to instruction labels / to per-pc bail stubs / to the
+	// fixups to instruction bodies / to per-pc bail stubs / to the
 	// epilogue, each a rel32 hole at `at`.
-	jfix []fix
-	bfix []fix
-	efix []int
-	// needBail marks pcs whose probes can bail; bailOff holds each
-	// stub's offset once emitted.
-	needBail []bool
-	bailOff  []int32
-	pc       int
-	bails    int
+	jfix  []fix
+	bfix  []fix
+	efix  []int
+	pc    int
+	bails int
 }
 
 type fix struct {
@@ -209,47 +232,79 @@ type fix struct {
 // unconditional bail stubs — still correct, executed by the interpreter
 // via the bail protocol — and are counted in Code.Bails.
 func Compile(host []x86.Instr, costs []uint64) (*Code, error) {
-	if len(host) == 0 || len(host) != len(costs) {
-		return nil, fmt.Errorf("native: bad block shape: %d instrs, %d costs", len(host), len(costs))
+	n := len(host)
+	if n == 0 || n != len(costs) {
+		return nil, fmt.Errorf("native: bad block shape: %d instrs, %d costs", n, len(costs))
 	}
-	for _, c := range costs {
-		if c > 1<<30 {
-			return nil, fmt.Errorf("native: per-instruction cost %d too large", c)
+	// Sized for the common block (about 62 code bytes, one bail check and
+	// one resume entry per instruction) so emission rarely regrows.
+	em := &emitter{
+		host: host,
+		info: make([]pcInfo, n+1),
+		a:    asm{b: make([]byte, 0, 64*n+64)},
+		jfix: make([]fix, 0, n),
+		bfix: make([]fix, 0, n),
+	}
+	info := em.info
+	info[0].leader = true
+	for pc, in := range host {
+		if !in.Op.IsBranch() {
+			continue
+		}
+		info[pc+1].leader = true
+		if t := in.Target; in.Op != x86.RET && t >= 0 && int(t) < n {
+			info[t].leader = true
 		}
 	}
-	em := &emitter{
-		host:     host,
-		costs:    costs,
-		labels:   make([]int32, len(host)+1),
-		needBail: make([]bool, len(host)),
-		bailOff:  make([]int32, len(host)),
+	for pc := n - 1; pc >= 0; pc-- {
+		cost, length := costs[pc], int32(1)
+		if pc+1 < n && !info[pc+1].leader {
+			cost += uint64(info[pc+1].restCost)
+			length += info[pc+1].restLen
+		}
+		if cost > 1<<30 {
+			return nil, fmt.Errorf("native: segment cost %d at pc %d too large", cost, pc)
+		}
+		info[pc].restCost, info[pc].restLen = int32(cost), length
 	}
+	flagsLiveAfter(host, info)
+
+	offsets := make([]int32, n)
 	for pc, in := range host {
 		em.pc = pc
-		em.labels[pc] = int32(len(em.a.b))
+		info[pc].body = int32(len(em.a.b))
+		if info[pc].leader {
+			offsets[pc] = info[pc].body
+			em.charge(0, pc)
+		}
 		if !supportedInstr(in) {
 			em.bails++
-			em.needBail[pc] = true
-			em.charge()
 			em.jmpBail()
 			continue
 		}
-		em.charge()
 		em.instr(in)
 	}
 	// Fall off the end: NextPC = len(host), straight into the epilogue.
-	em.labels[len(host)] = int32(len(em.a.b))
-	em.exitImm(int32(len(host)))
+	info[n].body = int32(len(em.a.b))
+	em.exitImm(int32(n))
 	em.epilog = int32(len(em.a.b))
 	em.epilogue()
 	for pc := range host {
-		if em.needBail[pc] {
-			em.bailOff[pc] = int32(len(em.a.b))
+		if info[pc].needBail {
+			info[pc].bail = int32(len(em.a.b))
 			em.bailStub(pc)
+		}
+		if !info[pc].leader {
+			// Resume entry: control arriving from outside (after a bail,
+			// or a RET into the block) charges the rest of the segment
+			// and joins the inline code.
+			offsets[pc] = int32(len(em.a.b))
+			em.charge(0, pc)
+			em.jmpLabel(pc)
 		}
 	}
 	em.patch()
-	return &Code{Text: em.a.b, Offsets: em.labels[:len(host)], Bails: em.bails}, nil
+	return &Code{Text: em.a.b, Offsets: offsets, Bails: em.bails}, nil
 }
 
 // supportedInstr reports whether the emitter handles the instruction
@@ -289,48 +344,127 @@ func supportedInstr(in x86.Instr) bool {
 	return false
 }
 
-// charge accumulates this instruction's cycle cost and instruction
-// count. Bail stubs reverse it, so a bailed instruction is charged by
-// the interpreter side exactly once.
-func (em *emitter) charge() {
-	a := &em.a
-	c := int32(em.costs[em.pc])
-	if c >= -128 && c <= 127 {
-		a.insR(true, []byte{0x83}, 0, rSI)
-		a.raw(byte(c))
-	} else {
-		a.insR(true, []byte{0x81}, 0, rSI)
-		a.u32(uint32(c))
+// State flag masks, for the liveness pass and saveFlags.
+const (
+	fCF = 1 << iota
+	fZF
+	fSF
+	fOF
+	fAll = fCF | fZF | fSF | fOF
+)
+
+// ccFlags is the set of flags State.CondHolds reads for a condition.
+func ccFlags(cc x86.CC) uint8 {
+	switch cc {
+	case x86.O, x86.NO:
+		return fOF
+	case x86.B, x86.AE:
+		return fCF
+	case x86.E, x86.NE:
+		return fZF
+	case x86.BE, x86.A:
+		return fCF | fZF
+	case x86.S, x86.NS:
+		return fSF
+	case x86.L, x86.GE:
+		return fSF | fOF
+	case x86.LE, x86.G:
+		return fZF | fSF | fOF
 	}
-	a.insR(true, []byte{0xFF}, 0, rDI) // incq %rdi
+	return fAll
 }
 
-// bailStub reverses the charge, records the bail, and exits.
-func (em *emitter) bailStub(pc int) {
-	a := &em.a
-	c := int32(em.costs[pc])
-	if c >= -128 && c <= 127 {
-		a.insR(true, []byte{0x83}, 5, rSI)
-		a.raw(byte(c))
-	} else {
-		a.insR(true, []byte{0x81}, 5, rSI)
-		a.u32(uint32(c))
+// flagEffect returns the flags Step reads and the flags it always
+// writes when executing in.
+func flagEffect(in x86.Instr) (use, def uint8) {
+	switch in.Op {
+	case x86.ADD, x86.SUB, x86.CMP, x86.NEG, x86.AND, x86.OR, x86.XOR,
+		x86.TEST, x86.IMUL, x86.POPF:
+		return 0, fAll
+	case x86.ADC, x86.SBB:
+		return fCF, fAll
+	case x86.INC, x86.DEC:
+		return 0, fZF | fSF | fOF // CF preserved
+	case x86.SHL, x86.SHR, x86.SAR:
+		if in.Src.Imm&31 == 0 {
+			return 0, 0 // a zero count is a pure no-op
+		}
+		return 0, fAll
+	case x86.JCC, x86.SETCC:
+		return ccFlags(in.CC), 0
+	case x86.PUSHF:
+		return fAll, 0
 	}
-	a.insR(true, []byte{0xFF}, 1, rDI) // decq %rdi
-	a.insM(true, []byte{0xC7}, 0, rCtx, -1, offNextPC)
-	a.u32(uint32(pc))
-	a.insM(false, []byte{0xC7}, 0, rCtx, -1, offBail)
-	a.u32(1)
+	return 0, 0
+}
+
+// flagsLiveAfter fills info[pc].live, the flags live after each
+// instruction, in one backward pass. Everything outside the pass's view
+// reads all four: the block exits (which is what keeps x86.State equal
+// to Step's at every exit), RET's dynamic target, backward targets, and
+// instructions the interpreter always executes. An instruction stores
+// only its live flags, so State holds the correct value of every flag
+// live into an instruction whenever that instruction starts — which is
+// all the interpreter needs when a bail hands it one.
+func flagsLiveAfter(host []x86.Instr, info []pcInfo) {
+	n := len(host)
+	info[n].liveIn = fAll // the fall-off-the-end exit
+	for pc := n - 1; pc >= 0; pc-- {
+		in := host[pc]
+		target := uint8(fAll)
+		if t := int(in.Target); t > pc && t < n {
+			target = info[t].liveIn
+		}
+		var live uint8
+		switch in.Op {
+		case x86.JMP, x86.CALL:
+			live = target
+		case x86.JCC:
+			live = target | info[pc+1].liveIn
+		case x86.RET:
+			live = fAll
+		default:
+			live = info[pc+1].liveIn
+		}
+		info[pc].live = live
+		if !supportedInstr(in) {
+			info[pc].liveIn = fAll
+			continue
+		}
+		use, def := flagEffect(in)
+		info[pc].liveIn = live&^def | use
+	}
+}
+
+// charge adds (slash 0) the cost and count of the instructions from pc
+// to the end of its segment to the accumulators; slash 5 subtracts them
+// again.
+func (em *emitter) charge(slash, pc int) {
+	em.a.aluImm(true, slash, rSI, em.info[pc].restCost)
+	em.a.aluImm(true, slash, rDI, em.info[pc].restLen)
+}
+
+// bailStub reverses the charge for the unexecuted rest of the segment
+// (the bailed instruction included, so the interpreter side charges it
+// exactly once), records the bail, and exits.
+func (em *emitter) bailStub(pc int) {
+	em.charge(5, pc)
+	em.exitImm(int32(pc))
+	em.a.insM(false, []byte{0xC7}, 0, rCtx, -1, offBail)
+	em.a.u32(1)
 	em.jmpEpilogue()
 }
 
-// epilogue drains the accumulators into Ctx (and Steps) and returns to
-// the trampoline.
+// epilogue drains the accumulators into Ctx, Steps and the Memory access
+// counters, and returns to the trampoline.
 func (em *emitter) epilogue() {
 	a := &em.a
 	a.insM(true, []byte{0x01}, rSI, rCtx, -1, offCycles)
 	a.insM(true, []byte{0x01}, rDI, rCtx, -1, offInstrs)
 	a.insM(true, []byte{0x01}, rDI, rState, -1, offSteps)
+	a.insM(true, []byte{0x8B}, rAX, rState, -1, offMem)
+	a.insM(true, []byte{0x01}, rBX, rAX, -1, offReads)
+	a.insM(true, []byte{0x01}, r11, rAX, -1, offWrites)
 	a.raw(0xC3)
 }
 
@@ -364,14 +498,14 @@ func (em *emitter) jccLabel(hostCC byte, target int) {
 // jccBail emits a host conditional jump to the current instruction's
 // bail stub.
 func (em *emitter) jccBail(hostCC byte) {
-	em.needBail[em.pc] = true
+	em.info[em.pc].needBail = true
 	em.a.raw(0x0F, 0x80|hostCC&0x0F)
 	em.bfix = append(em.bfix, fix{at: len(em.a.b), target: em.pc})
 	em.a.u32(0)
 }
 
 func (em *emitter) jmpBail() {
-	em.needBail[em.pc] = true
+	em.info[em.pc].needBail = true
 	em.a.raw(0xE9)
 	em.bfix = append(em.bfix, fix{at: len(em.a.b), target: em.pc})
 	em.a.u32(0)
@@ -400,10 +534,10 @@ func putRel(b []byte, at int, rel int32) {
 
 func (em *emitter) patch() {
 	for _, f := range em.jfix {
-		putRel(em.a.b, f.at, em.labels[f.target]-int32(f.at+4))
+		putRel(em.a.b, f.at, em.info[f.target].body-int32(f.at+4))
 	}
 	for _, f := range em.bfix {
-		putRel(em.a.b, f.at, em.bailOff[f.target]-int32(f.at+4))
+		putRel(em.a.b, f.at, em.info[f.target].bail-int32(f.at+4))
 	}
 	for _, at := range em.efix {
 		putRel(em.a.b, at, em.epilog-int32(at+4))
@@ -448,12 +582,45 @@ func (em *emitter) emitEA(m x86.MemRef) {
 	}
 }
 
-// probe checks the software TLB for the page holding the address in edx
-// (bailing to the interpreter on a miss, or on a page-straddling word
-// access). On the hit path it leaves r9 = offset within the page,
-// r10 = host page base, r11 = *mach.Memory (for the access counters).
-// edx is preserved.
-func (em *emitter) probe(width int) {
+// loc is a guest memory location whose page is in the software TLB:
+// the host address [r10 + index + disp] (index < 0: none).
+type loc struct {
+	index int
+	disp  int32
+}
+
+// locate resolves a memory operand to its host location, bailing to the
+// interpreter on a TLB miss or a page-straddling word access. Every
+// guest access goes through here or through probe (the stack shapes,
+// whose address is already in edx). Clobbers edx, r8, r9.
+func (em *emitter) locate(m x86.MemRef, width int) loc {
+	if m.HasBase || m.HasIndex && m.Scale != 0 {
+		em.emitEA(m)
+		return em.probe(width)
+	}
+	// An absolute address: page number, TLB slot and in-page offset are
+	// known now, so only the tag compare is left for run time.
+	a := &em.a
+	addr := uint32(m.Disp)
+	l := loc{index: -1, disp: int32(addr & (mach.PageSize - 1))}
+	if width == 4 && l.disp > mach.PageSize-4 {
+		// The word straddles its page: always the interpreter's. What the
+		// caller emits after this is unreachable.
+		em.bails++
+		em.jmpBail()
+		return l
+	}
+	pn := addr >> mach.PageShift
+	slot := offTLB + int32(pn&(tlbEntries-1))*tlbEntrySize
+	a.insM(false, []byte{0x81}, 7, rCtx, -1, slot) // cmpl $pn, slot.PN
+	a.u32(pn)
+	em.jccBail(0x05) // jne: TLB miss
+	a.insM(true, []byte{0x8B}, r10, rCtx, -1, slot+8)
+	return l
+}
+
+// probe is locate for the address in edx, which it preserves.
+func (em *emitter) probe(width int) loc {
 	a := &em.a
 	a.insR(false, []byte{0x89}, rDX, r8) // mov %edx, %r8d
 	a.shiftImmR(5, r8, uint32(mach.PageShift))
@@ -469,27 +636,35 @@ func (em *emitter) probe(width int) {
 		a.aluImmR(7, r9, mach.PageSize-4) // cmpl
 		em.jccBail(0x07)                  // ja: word straddles the page
 	}
-	a.insM(true, []byte{0x8B}, r11, rState, -1, offMem)
+	return loc{index: r9}
 }
 
-// bumpCounter adds n to a Memory counter (offReads/offWrites) through
-// r11, mirroring the deterministic access accounting of Load8/Read32.
-func (em *emitter) bumpCounter(off int32, n byte) {
-	em.a.insM(true, []byte{0x83}, 0, r11, -1, off)
-	em.a.raw(n)
+// The four access helpers below run after every bail check of their
+// instruction. Each counts its bytes into the Reads/Writes accumulator,
+// mirroring the access accounting of Load8/Read32/Store8/Write32, which
+// clobbers the host flags: flag-producing code comes after a load and
+// saves its flags before a store.
+
+func (em *emitter) loadMem32(hr int, l loc) {
+	em.a.aluImm(true, 0, rBX, 4)
+	em.a.insM(false, []byte{0x8B}, hr, r10, l.index, l.disp)
 }
 
-// loadMem32 loads the 32-bit word at the probed address into a host
-// register (call after probe(4)).
-func (em *emitter) loadMem32(hr int) {
-	em.bumpCounter(offReads, 4)
-	em.a.insM(false, []byte{0x8B}, hr, r10, r9, 0)
+func (em *emitter) storeMem32(hr int, l loc) {
+	em.a.aluImm(true, 0, r11, 4)
+	em.a.insM(false, []byte{0x89}, hr, r10, l.index, l.disp)
 }
 
-// storeMem32 stores a host register at the probed address.
-func (em *emitter) storeMem32(hr int) {
-	em.bumpCounter(offWrites, 4)
-	em.a.insM(false, []byte{0x89}, hr, r10, r9, 0)
+// loadMem8 zero-extends the byte at l into hr.
+func (em *emitter) loadMem8(hr int, l loc) {
+	em.a.aluImm(true, 0, rBX, 1)
+	em.a.insM(false, []byte{0x0F, 0xB6}, hr, r10, l.index, l.disp)
+}
+
+// storeMem8 stores al at l.
+func (em *emitter) storeMem8(l loc) {
+	em.a.aluImm(true, 0, r11, 1)
+	em.a.insM(false, []byte{0x88}, rAX, r10, l.index, l.disp)
 }
 
 // loadVal loads a 32-bit operand value (State.read semantics) into hr.
@@ -503,9 +678,7 @@ func (em *emitter) loadVal(o x86.Operand, hr int) {
 	case x86.KImm:
 		em.a.movImmR(hr, o.Imm)
 	case x86.KMem:
-		em.emitEA(o.Mem)
-		em.probe(4)
-		em.loadMem32(hr)
+		em.loadMem32(hr, em.locate(o.Mem, 4))
 	}
 }
 
@@ -518,23 +691,15 @@ func (em *emitter) loadByteVal(o x86.Operand, hr int) {
 	case x86.KImm:
 		em.a.movImmR(hr, o.Imm&0xff)
 	case x86.KMem:
-		em.emitEA(o.Mem)
-		em.probe(1)
-		em.bumpCounter(offReads, 1)
-		em.a.insM(false, []byte{0x0F, 0xB6}, hr, r10, r9, 0)
+		em.loadMem8(hr, em.locate(o.Mem, 1))
 	}
 }
 
 // saveFlags stores the host EFLAGS produced by the last flag-writing
-// instruction into the State flag bytes named by mask bits CF/ZF/SF/OF.
-const (
-	fCF = 1 << iota
-	fZF
-	fSF
-	fOF
-)
-
-func (em *emitter) saveFlags(mask int) {
+// instruction into the State flag bytes named by mask — those of them
+// that are live after the current instruction.
+func (em *emitter) saveFlags(mask uint8) {
+	mask &= em.info[em.pc].live
 	if mask&fCF != 0 {
 		em.a.insM(false, []byte{0x0F, 0x92}, 0, rState, -1, offCF) // setb
 	}
@@ -549,11 +714,13 @@ func (em *emitter) saveFlags(mask int) {
 	}
 }
 
-// clearOF stores false into State.OF (the modeled shifts always clear
-// OF, diverging from hardware's count==1 behaviour).
+// clearOF stores false into State.OF when it is live (the modeled
+// shifts always clear OF, diverging from hardware's count==1 behaviour).
 func (em *emitter) clearOF() {
-	em.a.insM(false, []byte{0xC6}, 0, rState, -1, offOF)
-	em.a.raw(0)
+	if em.info[em.pc].live&fOF != 0 {
+		em.a.insM(false, []byte{0xC6}, 0, rState, -1, offOF)
+		em.a.raw(0)
+	}
 }
 
 // restoreCF loads State.CF into the host carry flag (for adc/sbb).
@@ -637,18 +804,26 @@ func (em *emitter) gotoTarget(t int32) {
 // pushVal emits the stack push of the value in eax: ESP -= 4 and a
 // 32-bit store, probing before any state moves.
 func (em *emitter) pushVal() {
-	a := &em.a
 	em.loadGuestReg(x86.ESP, rDX)
-	a.aluImmR(5, rDX, 4) // subl $4, %edx
-	em.probe(4)
+	em.a.aluImmR(5, rDX, 4) // subl $4, %edx
+	l := em.probe(4)
 	em.storeGuestReg(rDX, x86.ESP)
-	em.storeMem32(rAX)
+	em.storeMem32(rAX, l)
+}
+
+// popVal emits the stack pop into eax: a probed 32-bit load, then
+// ESP += 4.
+func (em *emitter) popVal() {
+	em.loadGuestReg(x86.ESP, rDX)
+	em.loadMem32(rAX, em.probe(4))
+	em.a.insM(false, []byte{0x83}, 0, rState, -1, regOff(x86.ESP))
+	em.a.raw(4) // addl $4, ESP slot
 }
 
 // instr emits one instruction body. The per-body contract: every bail
 // check precedes every guest-visible mutation (registers, flags, memory,
-// counters), so a bailed instruction can be re-executed whole by the
-// interpreter.
+// access counts), so a bailed instruction can be re-executed whole by
+// the interpreter.
 func (em *emitter) instr(in x86.Instr) {
 	a := &em.a
 	switch in.Op {
@@ -667,9 +842,7 @@ func (em *emitter) instr(in x86.Instr) {
 		case x86.KReg8:
 			a.insM(false, []byte{0x88}, rAX, rState, -1, regOff(in.Dst.Reg))
 		case x86.KMem:
-			em.emitEA(in.Dst.Mem)
-			em.probe(4)
-			em.storeMem32(rAX)
+			em.storeMem32(rAX, em.locate(in.Dst.Mem, 4))
 		}
 
 	case x86.MOVB:
@@ -677,10 +850,7 @@ func (em *emitter) instr(in x86.Instr) {
 		if in.Dst.Kind == x86.KReg8 {
 			a.insM(false, []byte{0x88}, rAX, rState, -1, regOff(in.Dst.Reg))
 		} else { // KMem, by CheckInstr
-			em.emitEA(in.Dst.Mem)
-			em.probe(1)
-			em.bumpCounter(offWrites, 1)
-			a.insM(false, []byte{0x88}, rAX, r10, r9, 0)
+			em.storeMem8(em.locate(in.Dst.Mem, 1))
 		}
 
 	case x86.LEA:
@@ -691,11 +861,10 @@ func (em *emitter) instr(in x86.Instr) {
 		case x86.KReg8:
 			a.insM(false, []byte{0x88}, rDX, rState, -1, regOff(in.Dst.Reg))
 		case x86.KMem:
-			// EA-of-dst would clobber edx; stash the value in eax first.
+			// Locating the destination clobbers edx; stash the value in
+			// eax first.
 			a.insR(false, []byte{0x89}, rDX, rAX)
-			em.emitEA(in.Dst.Mem)
-			em.probe(4)
-			em.storeMem32(rAX)
+			em.storeMem32(rAX, em.locate(in.Dst.Mem, 4))
 		}
 
 	case x86.ADD, x86.ADC, x86.SUB, x86.SBB, x86.AND, x86.OR, x86.XOR,
@@ -703,38 +872,33 @@ func (em *emitter) instr(in x86.Instr) {
 		em.alu(in)
 
 	case x86.NOT:
-		em.rmw(in, 0, func() { a.insR(false, []byte{0xF7}, 2, rAX) },
-			func() { a.insM(false, []byte{0xF7}, 2, rState, -1, regOff(in.Dst.Reg)) })
+		em.rmw(in, 0, 0xF7, 2, 0)
 	case x86.NEG:
-		em.rmw(in, fCF|fZF|fSF|fOF, func() { a.insR(false, []byte{0xF7}, 3, rAX) },
-			func() { a.insM(false, []byte{0xF7}, 3, rState, -1, regOff(in.Dst.Reg)) })
+		em.rmw(in, fAll, 0xF7, 3, 0)
 	case x86.INC:
 		// Host inc/dec preserve CF exactly like the model.
-		em.rmw(in, fZF|fSF|fOF, func() { a.insR(false, []byte{0xFF}, 0, rAX) },
-			func() { a.insM(false, []byte{0xFF}, 0, rState, -1, regOff(in.Dst.Reg)) })
+		em.rmw(in, fZF|fSF|fOF, 0xFF, 0, 0)
 	case x86.DEC:
-		em.rmw(in, fZF|fSF|fOF, func() { a.insR(false, []byte{0xFF}, 1, rAX) },
-			func() { a.insM(false, []byte{0xFF}, 1, rState, -1, regOff(in.Dst.Reg)) })
+		em.rmw(in, fZF|fSF|fOF, 0xFF, 1, 0)
 
 	case x86.SHL, x86.SHR, x86.SAR:
 		n := in.Src.Imm & 31
 		if n == 0 {
 			// Modeled as a pure no-op: no write, no flags (count ≠ 0 is
-			// the only flag-writing case), only the charge above.
+			// the only flag-writing case), only the segment's charge.
 			return
 		}
-		slash := map[x86.Op]int{x86.SHL: 4, x86.SHR: 5, x86.SAR: 7}[in.Op]
-		body := func() {
-			a.insR(false, []byte{0xC1}, slash, rAX)
-			a.raw(byte(n))
-		}
-		fast := func() {
-			a.insM(false, []byte{0xC1}, slash, rState, -1, regOff(in.Dst.Reg))
-			a.raw(byte(n))
+		slash := 4 // SHL
+		switch in.Op {
+		case x86.SHR:
+			slash = 5
+		case x86.SAR:
+			slash = 7
 		}
 		// Save CF/ZF/SF from the host shift, then pin OF=false (the
 		// model clears it for every nonzero count).
-		em.rmwFlags(in, fCF|fZF|fSF, body, fast, em.clearOF)
+		em.rmw(in, fCF|fZF|fSF, 0xC1, slash, byte(n))
+		em.clearOF()
 
 	case x86.IMUL:
 		em.imul(in)
@@ -760,11 +924,7 @@ func (em *emitter) instr(in x86.Instr) {
 		em.gotoTarget(in.Target)
 
 	case x86.RET:
-		em.loadGuestReg(x86.ESP, rDX)
-		em.probe(4)
-		em.loadMem32(rAX)
-		a.insM(false, []byte{0x83}, 0, rState, -1, regOff(x86.ESP))
-		a.raw(4) // addl $4, ESP slot
+		em.popVal()
 		// NextPC = zero-extended loaded word, exactly int(uint32).
 		a.insM(true, []byte{0x89}, rAX, rCtx, -1, offNextPC)
 		em.jmpEpilogue()
@@ -774,11 +934,7 @@ func (em *emitter) instr(in x86.Instr) {
 		em.pushVal()
 
 	case x86.POP:
-		em.loadGuestReg(x86.ESP, rDX)
-		em.probe(4)
-		em.loadMem32(rAX)
-		a.insM(false, []byte{0x83}, 0, rState, -1, regOff(x86.ESP))
-		a.raw(4)
+		em.popVal()
 		em.storeGuestReg(rAX, in.Dst.Reg) // after ESP += 4: pop %esp loads the value
 
 	case x86.SETCC:
@@ -786,11 +942,9 @@ func (em *emitter) instr(in x86.Instr) {
 			em.cond(in.CC)
 			a.insM(false, []byte{0x88}, rAX, rState, -1, regOff(in.Dst.Reg))
 		} else { // KMem, by CheckInstr
-			em.emitEA(in.Dst.Mem)
-			em.probe(1)
+			l := em.locate(in.Dst.Mem, 1)
 			em.cond(in.CC)
-			em.bumpCounter(offWrites, 1)
-			a.insM(false, []byte{0x88}, rAX, r10, r9, 0)
+			em.storeMem8(l)
 		}
 
 	case x86.PUSHF:
@@ -807,15 +961,15 @@ func (em *emitter) instr(in x86.Instr) {
 		em.pushVal()
 
 	case x86.POPF:
-		em.loadGuestReg(x86.ESP, rDX)
-		em.probe(4)
-		em.loadMem32(rAX)
-		a.insM(false, []byte{0x83}, 0, rState, -1, regOff(x86.ESP))
-		a.raw(4)
+		em.popVal()
 		for _, f := range [4]struct {
+			flag  uint8
 			off   int32
 			shift uint32
-		}{{offCF, 0}, {offZF, 6}, {offSF, 7}, {offOF, 11}} {
+		}{{fCF, offCF, 0}, {fZF, offZF, 6}, {fSF, offSF, 7}, {fOF, offOF, 11}} {
+			if em.info[em.pc].live&f.flag == 0 {
+				continue
+			}
 			a.insR(false, []byte{0x89}, rAX, rCX)
 			if f.shift != 0 {
 				a.shiftImmR(5, rCX, f.shift)
@@ -839,18 +993,17 @@ func (em *emitter) alu(in x86.Instr) {
 			em.restoreCF()
 		}
 		a.insM(false, []byte{op}, rCX, rState, -1, regOff(in.Dst.Reg))
-		em.saveFlags(fCF | fZF | fSF | fOF)
+		em.saveFlags(fAll)
 	case in.Dst.Kind == x86.KMem:
-		em.emitEA(in.Dst.Mem)
-		em.probe(4)
-		em.loadMem32(rAX)
+		l := em.locate(in.Dst.Mem, 4)
+		em.loadMem32(rAX, l)
 		if carry {
 			em.restoreCF()
 		}
 		a.insR(false, []byte{op}, rCX, rAX)
-		em.saveFlags(fCF | fZF | fSF | fOF)
+		em.saveFlags(fAll)
 		if writeback {
-			em.storeMem32(rAX)
+			em.storeMem32(rAX, l)
 		}
 	default: // KReg8 (zero-extended RMW) or KImm dst (cmp/test only)
 		em.loadVal(in.Dst, rAX)
@@ -858,42 +1011,42 @@ func (em *emitter) alu(in x86.Instr) {
 			em.restoreCF()
 		}
 		a.insR(false, []byte{op}, rCX, rAX)
-		em.saveFlags(fCF | fZF | fSF | fOF)
+		em.saveFlags(fAll)
 		if writeback && in.Dst.Kind == x86.KReg8 {
 			a.insM(false, []byte{0x88}, rAX, rState, -1, regOff(in.Dst.Reg))
 		}
 	}
 }
 
-// rmw emits a one-operand read-modify-write with a full flag save mask.
-func (em *emitter) rmw(in x86.Instr, flags int, bodyEAX, fastReg func()) {
-	em.rmwFlags(in, flags, bodyEAX, fastReg, nil)
-}
-
-// rmwFlags is rmw with an optional post-flag-save hook (the shifts' OF
-// clear). fastReg operates directly on the State register slot; bodyEAX
-// operates on eax for the slow operand shapes.
-func (em *emitter) rmwFlags(in x86.Instr, flags int, bodyEAX, fastReg, after func()) {
+// rmw emits a one-operand read-modify-write: the F7/FF-group unary op
+// (imm8 0) or the C1-group shift by imm8 selected by opcode and slash,
+// saving the flags in mask. A register destination is operated on in
+// its State slot; the other shapes go through eax.
+func (em *emitter) rmw(in x86.Instr, mask uint8, opcode byte, slash int, imm8 byte) {
 	a := &em.a
+	op := func(inSlot bool) {
+		if inSlot {
+			a.insM(false, []byte{opcode}, slash, rState, -1, regOff(in.Dst.Reg))
+		} else {
+			a.insR(false, []byte{opcode}, slash, rAX)
+		}
+		if imm8 != 0 {
+			a.raw(imm8)
+		}
+		em.saveFlags(mask)
+	}
 	switch in.Dst.Kind {
 	case x86.KReg:
-		fastReg()
-		em.saveFlags(flags)
+		op(true)
 	case x86.KMem:
-		em.emitEA(in.Dst.Mem)
-		em.probe(4)
-		em.loadMem32(rAX)
-		bodyEAX()
-		em.saveFlags(flags)
-		em.storeMem32(rAX)
+		l := em.locate(in.Dst.Mem, 4)
+		em.loadMem32(rAX, l)
+		op(false)
+		em.storeMem32(rAX, l)
 	case x86.KReg8:
 		a.insM(false, []byte{0x0F, 0xB6}, rAX, rState, -1, regOff(in.Dst.Reg))
-		bodyEAX()
-		em.saveFlags(flags)
+		op(false)
 		a.insM(false, []byte{0x88}, rAX, rState, -1, regOff(in.Dst.Reg))
-	}
-	if after != nil {
-		after()
 	}
 }
 
@@ -902,24 +1055,29 @@ func (em *emitter) rmwFlags(in x86.Instr, flags int, bodyEAX, fastReg, after fun
 // SF/ZF undefined).
 func (em *emitter) imul(in x86.Instr) {
 	a := &em.a
-	var commit func()
+	var l loc
 	switch in.Dst.Kind {
 	case x86.KReg:
 		em.loadGuestReg(in.Dst.Reg, rAX)
-		commit = func() { em.storeGuestReg(rAX, in.Dst.Reg) }
 	case x86.KMem:
-		em.emitEA(in.Dst.Mem)
-		em.probe(4)
-		em.loadMem32(rAX)
-		commit = func() { em.storeMem32(rAX) }
+		l = em.locate(in.Dst.Mem, 4)
+		em.loadMem32(rAX, l)
 	case x86.KReg8:
 		a.insM(false, []byte{0x0F, 0xB6}, rAX, rState, -1, regOff(in.Dst.Reg))
-		commit = func() { a.insM(false, []byte{0x88}, rAX, rState, -1, regOff(in.Dst.Reg)) }
 	}
 	em.loadVal(in.Src, rCX) // reg/imm/reg8: safe after the dst probe
 	a.insR(false, []byte{0x0F, 0xAF}, rAX, rCX)
 	em.saveFlags(fCF | fOF)
-	a.insR(false, []byte{0x85}, rAX, rAX) // testl %eax, %eax
-	em.saveFlags(fZF | fSF)
-	commit()
+	if em.info[em.pc].live&(fZF|fSF) != 0 {
+		a.insR(false, []byte{0x85}, rAX, rAX) // testl %eax, %eax
+		em.saveFlags(fZF | fSF)
+	}
+	switch in.Dst.Kind {
+	case x86.KReg:
+		em.storeGuestReg(rAX, in.Dst.Reg)
+	case x86.KMem:
+		em.storeMem32(rAX, l)
+	case x86.KReg8:
+		a.insM(false, []byte{0x88}, rAX, rState, -1, regOff(in.Dst.Reg))
+	}
 }

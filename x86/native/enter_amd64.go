@@ -9,7 +9,7 @@ import "dbtrules/x86"
 // returns when the block exits or bails; the outcome is in ctx.
 //
 // The trampoline is a bare CALL: emitted code uses only registers the Go
-// ABI treats as caller-saved scratch (never SP, BP, BX, R14/g, R15), so
+// ABI treats as caller-saved scratch (never SP, BP, R14/g, R15), so
 // nothing needs spilling on either side.
 func Enter(entry uintptr, st *x86.State, ctx *Ctx) {
 	enter(entry, st, ctx)

@@ -2,20 +2,54 @@
 // translated block's host x86 instructions to actual amd64 machine code
 // operating directly on the virtual x86.State, entered through a small
 // assembly trampoline. The deterministic cycle model is preserved
-// exactly — emitted code charges the same per-instruction costs, bumps
-// the same memory access counters, and reproduces State.Step's flag
+// exactly — emitted code charges the same per-instruction costs, counts
+// the same memory access bytes, and reproduces State.Step's flag
 // semantics bit for bit (including the modeled divergences from real
 // hardware: inc/dec preserving CF, shifts always clearing OF, imul
 // setting SF/ZF) — so native is a wall-clock tier, not a semantics
 // change.
 //
+// Charging is per segment. A block is cut into straight-line segments
+// (leaders: pc 0, every in-range jump/call target, every pc after a
+// branch); a leader adds the summed cost and the instruction count of its
+// whole segment to two accumulator registers, and the bodies that follow
+// charge nothing. Control that arrives in the middle of a segment from
+// outside — the engine resuming after a bail, a RET landing in the block —
+// comes through Code.Offsets[pc], which for a non-leader is an out-of-line
+// resume entry that charges pc to the segment's end and jumps to the
+// inline body. So every pc is a valid entry point, and every executed
+// instruction is charged exactly once.
+//
 // Guest memory is reached through a small software TLB in Ctx that
-// caches resident mach.Memory page pointers. A miss, a page-straddling
-// word access, or an instruction shape the emitter does not handle
-// bails out: the code stores the current instruction index and returns,
-// and the engine executes that one instruction through the interpreter
-// tier before re-entering — so every shape stays correct and only pays
-// native speed where native code exists.
+// caches resident mach.Memory page pointers. For an operand with a
+// constant address (no base, no scaled index — the guest CPU state block
+// is all of these) the page number, the TLB slot and the in-page offset
+// are resolved at compile time, leaving one tag compare and one load of
+// the page base; other operands compute the address and probe
+// dynamically. Bytes read and written are counted in two more
+// accumulator registers. The epilogue every exit runs drains all four
+// accumulators: cycles and instructions into Ctx, instructions into
+// State.Steps, access bytes into Memory.Reads/Writes.
+//
+// A miss, a page-straddling word access (decided statically for a
+// constant address), or an instruction shape the emitter does not handle
+// bails out: the code un-charges the unexecuted rest of the segment, the
+// bailing instruction included, stores that instruction's index and
+// returns through the epilogue, and the engine executes the one
+// instruction through the interpreter tier — charging and counting it
+// there — before re-entering at the next pc. Every bail check of an
+// instruction precedes its first guest-visible effect, so the
+// interpreter re-executes it whole. Every shape stays correct and only
+// pays native speed where native code exists.
+//
+// Flags live in the State flag bytes between instructions, never in host
+// EFLAGS, but an instruction stores only the flags that are live after
+// it: one backward pass (flagsLiveAfter) finds, per instruction, the
+// flags some later instruction reads before they are overwritten, taking
+// all four as read at every way out of the pass's view (block exits, RET,
+// backward and out-of-range targets, interpreter-only shapes). State
+// therefore equals Step's at every block exit, and at a bail it holds
+// every flag the bailed instruction or anything after it can read.
 //
 // The whole back end is gated on //go:build amd64 (plus linux for the
 // code buffer); elsewhere Supported() is false and the tier ladder tops
@@ -73,7 +107,7 @@ type Ctx struct {
 	Bail uint32
 	_    uint32
 	// Cycles and Instrs accumulate the cycle-model charges for the
-	// instructions executed natively since the engine last drained them.
+	// instructions executed natively since the engine last zeroed them.
 	Cycles uint64
 	Instrs uint64
 }
@@ -113,10 +147,13 @@ func NewCtx() *Ctx {
 type Code struct {
 	// Text is the position-independent machine code.
 	Text []byte
-	// Offsets[pc] is the byte offset of host instruction pc's entry
-	// point within Text, so the engine can resume after a bail.
+	// Offsets[pc] is the byte offset within Text at which to enter the
+	// block at host instruction pc: the inline code for a segment leader,
+	// an out-of-line resume entry for any other pc (see the package doc).
+	// The engine enters at 0, and at any pc after a bail or a RET.
 	Offsets []int32
-	// Bails counts instructions compiled as unconditional bail stubs
-	// (shapes the emitter does not handle natively). Diagnostics only.
+	// Bails counts instructions compiled as unconditional bails (shapes
+	// the emitter does not handle natively, constant-address words that
+	// straddle a page). Diagnostics only.
 	Bails int
 }

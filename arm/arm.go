@@ -249,6 +249,12 @@ func (i Instr) Predicated() bool {
 // IsCondBranch reports whether i is a conditional direct branch.
 func (i Instr) IsCondBranch() bool { return i.Op == B && i.Cond != AL }
 
+// EndsBlock reports whether i may write the PC and so terminates a
+// translation block: a branch, or a pop whose register list names PC.
+func (i Instr) EndsBlock() bool {
+	return i.Op.IsBranch() || (i.Op == POP && i.RegList&(1<<PC) != 0)
+}
+
 // Defs returns the general-purpose registers written by i (excluding PC
 // effects of branches).
 func (i Instr) Defs() []Reg {

@@ -127,7 +127,7 @@ func measureAddP99(shards, writers, patterns, rounds int) int64 {
 	return histP99(reg.Snapshot(false).Histograms["rules_add_ns"])
 }
 
-// TestStoreContentionGate is ci.sh dist's concurrent-writer gate: with at
+// TestStoreContentionGate is the concurrent-writer gate: with at
 // least 4 writers on disjoint shards, sharding must improve the
 // lock-wait-inclusive rules_add_ns p99 by >= 2x over a single-lock store.
 // The EXPERIMENTS.md contention entry records the measured before/after.
@@ -160,7 +160,7 @@ func TestStoreContentionGate(t *testing.T) {
 
 // BenchmarkStoreAddParallel measures concurrent Add throughput at
 // GOMAXPROCS writers on disjoint shards, for the single-lock baseline and
-// the sharded store (the ci.sh bench trajectory tracks both).
+// the sharded store.
 func BenchmarkStoreAddParallel(b *testing.B) {
 	for _, shards := range []int{1, rules.DefaultShards} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

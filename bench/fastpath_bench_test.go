@@ -110,12 +110,11 @@ func BenchmarkLongestMatch(b *testing.B) {
 // cached): direct-mapped TB dispatch, per-TB successor chaining checks,
 // and the exec loop under each execution tier. One op = one full mcf
 // test-workload emulation. The bare qemu/rules variants run the default
-// auto tier (comparable to earlier BENCH_*.json entries, which predate
-// tiering and measured the pure switch loop); the -interp, -threaded, and
-// -native variants pin the tier. The threaded/interp ratio is the
-// token-threading win and the native/threaded ratio the machine-code win
-// the ci.sh tiers stage gates on (the -native variants degrade to
-// threaded on hosts without the back end).
+// auto tier; the -interp, -threaded, and -native variants pin the tier.
+// The threaded/interp ratio is the token-threading win and the
+// native/threaded ratio the machine-code win TestDispatchTierSpeedup
+// gates on (the -native variants degrade to threaded on hosts without
+// the back end).
 func BenchmarkDispatch(b *testing.B) {
 	mcf, _ := corpus.ByName("mcf")
 	g, _, err := CompilePair(mcf, codegen.StyleLLVM, 2)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math/rand"
 	"testing"
 
 	"dbtrules/codegen"
@@ -106,55 +105,4 @@ func TestMineDifferentialGate(t *testing.T) {
 		t.Fatalf("store shrank below the seed baseline: %d < %d", store.Count(), baselineCount)
 	}
 	t.Logf("%d mined rules installed, store %d -> %d", mined, baselineCount, store.Count())
-}
-
-// BenchmarkStoreAddAll measures batched admission against the
-// sequential-Add loop it replaced in learn's publish path and the
-// miner's round publication.
-func BenchmarkStoreAddAll(b *testing.B) {
-	bm, ok := corpus.ByName("mcf")
-	if !ok {
-		b.Fatal("mcf missing from corpus")
-	}
-	res, err := LearnBenchmark(bm, codegen.StyleLLVM, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(res.Rules) == 0 {
-		b.Fatal("no rules learned")
-	}
-	rnd := rand.New(rand.NewSource(1))
-	b.Run("AddAll", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := rules.NewStore()
-			if added, _ := s.AddAll(res.Rules); added == 0 {
-				b.Fatal("AddAll installed nothing")
-			}
-		}
-	})
-	b.Run("SequentialAdd", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := rules.NewStore()
-			added := 0
-			for _, r := range res.Rules {
-				if s.Add(r) {
-					added++
-				}
-			}
-			if added == 0 {
-				b.Fatal("Add installed nothing")
-			}
-		}
-	})
-	// Shuffled order exercises the per-shard grouping on unsorted input.
-	b.Run("AddAllShuffled", func(b *testing.B) {
-		shuffled := append([]*rules.Rule(nil), res.Rules...)
-		rnd.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		for i := 0; i < b.N; i++ {
-			s := rules.NewStore()
-			if added, _ := s.AddAll(shuffled); added == 0 {
-				b.Fatal("AddAll installed nothing")
-			}
-		}
-	})
 }

@@ -108,13 +108,12 @@ func warmRunNS(e *dbt.Engine, args []uint32) int64 {
 // eliminate Step's per-instruction Instr copy plus its opcode and
 // operand-kind switches; emitted machine code then eliminates the Go
 // interpreter entirely — both are worth far more than their margins in
-// isolation, which keeps the gates robust on loaded CI machines.
+// isolation (EXPERIMENTS records 3.3x and 3.8x), and the measurement is
+// one goroutine, so the gate runs on any machine rather than skipping
+// below some CPU count.
 func TestDispatchTierSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock gate")
-	}
-	if procs := runtime.GOMAXPROCS(0); procs < 4 {
-		t.Skipf("wall-clock gate needs >= 4 CPUs, have %d", procs)
 	}
 	mcf, _ := corpus.ByName("mcf")
 	g, _, err := CompilePair(mcf, codegen.StyleLLVM, 2)
@@ -163,8 +162,11 @@ func TestDispatchTierSpeedup(t *testing.T) {
 // translation does. The rules run executes ~18% fewer host instructions;
 // before the emitter resolved constant-address accesses at compile time
 // and stored only live flags it paid more for each (ROADMAP's first open
-// item). Medians of five alternating measurements; skipped where the
-// other wall-clock gates are.
+// item). Medians of five alternating measurements. A margin of a few
+// percent cannot be a tier-1 gate on a shared machine, so this test
+// skips below 4 CPUs and is a tripwire only: the measurement of record
+// is rules_guest_mips against qemu_guest_mips on the steady-native
+// workload of the repository benchmark, as cmd/benchcmp reports it.
 func TestRulesNativeBeatsQemuNative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock gate")

@@ -53,7 +53,7 @@
 // external scraper can read the final counters.
 //
 // -json replaces the text report with one dbt.RunStats JSON line on
-// stdout (the same canonical encoding benchjson collects).
+// stdout (the canonical encoding the ci.sh smoke compares runs by).
 //
 // Exit status: 0 on success, 1 on usage or setup errors, 3 when the run
 // aborts because the engine's per-entry fault-containment retry budget

@@ -407,9 +407,7 @@ func (e *Engine) tb(gpc int) (*TB, error) {
 		if tb.Gen == e.pageGen[gpc>>tbPageShift] {
 			return tb, nil
 		}
-		e.noteDropped(tb)
-		e.tbs[gpc] = nil
-		e.tbCount--
+		e.drop(tb)
 		e.Stats.InvalidatedTBs++
 		e.tel.telInvalidate(gpc, 1)
 	}
@@ -611,7 +609,7 @@ func (e *Engine) discover(gpc int) []arm.Instr {
 	for i := gpc; i < end && len(out) < MaxTBLen; i++ {
 		in := e.Guest.Code[i]
 		out = append(out, in)
-		if in.Op.IsBranch() || (in.Op == arm.POP && in.RegList&(1<<arm.PC) != 0) {
+		if in.EndsBlock() {
 			break
 		}
 	}
@@ -653,7 +651,7 @@ func (e *Engine) translate(gpc int) (*TB, error) {
 			}
 		}
 		// Control flow terminates the block.
-		if in.Op.IsBranch() || (in.Op == arm.POP && in.RegList&(1<<arm.PC) != 0) {
+		if in.EndsBlock() {
 			if err := e.translateExit(t, in, gpc+i); err != nil {
 				return nil, err
 			}
@@ -672,8 +670,7 @@ func (e *Engine) translate(gpc int) (*TB, error) {
 	}
 	// Fall-through exit (block ended by length cap or function end).
 	if n := len(block); n > 0 {
-		last := block[n-1]
-		if !(last.Op.IsBranch() || (last.Op == arm.POP && last.RegList&(1<<arm.PC) != 0)) {
+		if !block[n-1].EndsBlock() {
 			t.cache.writebackAll()
 			t.a.storeEnvImm(uint32(gpc+n), EnvPC)
 		}

@@ -128,14 +128,9 @@ func (e *Engine) containExec(fe *FaultError, tb *TB) bool {
 		return false
 	}
 	if e.tbs[gpc] == tb {
-		e.noteDropped(tb)
-		e.tbs[gpc] = nil
-		e.tbCount--
+		e.drop(tb)
 		e.Stats.InvalidatedTBs++
 		e.tel.telInvalidate(gpc, 1)
-	}
-	if e.lastTB == tb {
-		e.lastTB = nil
 	}
 	quarantined := false
 	for _, id := range tb.ruleIDs {

@@ -241,6 +241,29 @@ func TestStaleGenerationBackstop(t *testing.T) {
 	if tb.Gen != e.pageGen[0] {
 		t.Errorf("retranslated TB has gen %d, page gen %d", tb.Gen, e.pageGen[0])
 	}
+
+	// Self-loop: the loop body at gpc 1 is chained to itself, and it is
+	// the dispatcher's predecessor when its own page goes stale. The
+	// dropped block must not stay behind as lastTB, or the fresh
+	// translation would be entered over the dead block's patched jump.
+	loop := e.tbs[1]
+	if loop == nil || !loop.chainedTo(1) {
+		t.Fatal("loop body TB missing or not self-chained")
+	}
+	e.lastTB = loop
+	e.pageGen[0]++
+	fresh, err := e.tb(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == loop || e.lastTB == loop {
+		t.Fatalf("stale self-loop TB survived: served %v, still lastTB %v", fresh == loop, e.lastTB == loop)
+	}
+	hits := e.Stats.ChainHits
+	e.exec(fresh)
+	if e.Stats.ChainHits != hits {
+		t.Error("dispatch chained from a dropped block")
+	}
 }
 
 // TestInvalidateRangeClamps: out-of-range and empty ranges are safe no-ops.

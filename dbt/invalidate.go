@@ -38,16 +38,9 @@ func (e *Engine) Invalidate(gpc, n int) int {
 			continue
 		}
 		if entry < hi && entry+tb.GuestLen > lo {
-			e.noteDropped(tb) // invalidation demotes: thunks die with the block
-			e.tbs[entry] = nil
-			e.tbCount--
+			e.drop(tb)
 			e.Stats.InvalidatedTBs++
 			removed[entry] = true
-			if e.lastTB == tb {
-				// The next dispatch must not chain from (or patch) a freed
-				// block.
-				e.lastTB = nil
-			}
 		}
 	}
 	if len(removed) == 0 {

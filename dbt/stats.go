@@ -10,9 +10,9 @@ import (
 // StatsSnapshot is the canonical wire form of Stats: fixed field order,
 // snake_case names, and RuleHitsByLen flattened to stable "length:count"
 // strings (JSON maps with int keys marshal in undefined order). Every
-// consumer that serializes engine counters — `dbtrun -json`, benchjson
-// run records, the bench golden files — goes through this one shape, so
-// the encodings cannot drift apart.
+// consumer that serializes engine counters — `dbtrun -json`, the bench
+// golden files — goes through this one shape, so the encodings cannot
+// drift apart.
 //
 // StatsSnapshot is a plain struct with no MarshalJSON of its own: types
 // that embed it keep control of their outer object while inheriting the
@@ -116,8 +116,7 @@ func (s *Stats) String() string {
 
 // RunStats is one complete `dbtrun` run record: workload identity, the
 // guest program's return value, and the canonical counter snapshot.
-// `dbtrun -json` emits it as a single JSON line; benchjson collects such
-// lines from mixed `go test -bench` / dbtrun streams.
+// `dbtrun -json` emits it as a single JSON line.
 type RunStats struct {
 	Bench    string `json:"bench"`
 	Backend  string `json:"backend"`

@@ -50,15 +50,14 @@ func (e *Engine) adoptOffered() {
 	e.Rules = o.store
 	e.idx = o.idx
 	e.scan = nil
-	for i := range e.tbs {
+	for _, tb := range e.tbs {
 		// The flush demotes every promoted block: thunks compiled under
 		// the old rule set die with their TBs, and retranslated blocks
 		// start cold on the interpreter tier.
-		e.noteDropped(e.tbs[i])
-		e.tbs[i] = nil
+		if tb != nil {
+			e.drop(tb)
+		}
 	}
-	e.tbCount = 0
-	e.lastTB = nil
 	if e.jit != nil {
 		// Every block is gone, so no live code remains in the executable
 		// buffer: bump its generation and reclaim the space. The

@@ -258,18 +258,22 @@ func (e *Engine) demoteNative(tb *TB) {
 	}
 }
 
-// noteDropped records the demotion when a block leaves the code cache.
-// Every removal path (Invalidate, rule hot-swap flush, fault containment,
-// the stale-generation backstop) funnels through this so TierStats agrees
-// with the cache's actual contents.
-func (e *Engine) noteDropped(tb *TB) {
-	if tb == nil {
-		return
-	}
+// drop is the one way a block leaves the code cache. Every removal path
+// (Invalidate, rule hot-swap flush, fault containment, the
+// stale-generation backstop) calls it, so the slot, the count, the
+// demotions in TierStats and lastTB always agree with the cache's
+// contents: the next dispatch can neither chain from nor patch a block
+// that is gone. Callers add their own Stats and telemetry lines.
+func (e *Engine) drop(tb *TB) {
 	if tb.thunks != nil {
 		e.TierStats.Demotions++
 	}
 	if tb.native != nil {
 		e.TierStats.NativeDemotions++
+	}
+	e.tbs[tb.EntryGPC] = nil
+	e.tbCount--
+	if e.lastTB == tb {
+		e.lastTB = nil
 	}
 }

@@ -1,9 +1,9 @@
 // Package faultinject provides named, deterministic fault-injection points
 // for the DBT engine and the rule learner. Production code calls Fire (or
-// FireKey) at an instrumented site; tests and `ci.sh faults` arm points to
-// make a specific site fault on a specific hit. The disarmed fast path is a
-// single atomic load, so leaving the instrumentation compiled in costs
-// nothing measurable on the translation or dispatch hot paths.
+// FireKey) at an instrumented site; tests arm points to make a specific
+// site fault on a specific hit. The disarmed fast path is a single atomic
+// load, so leaving the instrumentation compiled in costs nothing
+// measurable on the translation or dispatch hot paths.
 //
 // Two trigger kinds exist, both deterministic:
 //

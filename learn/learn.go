@@ -46,11 +46,8 @@ type Options struct {
 	PublishTo *rules.Store
 }
 
-// publish pushes a merged batch into Options.PublishTo, if set. The
-// batch lands through Store.AddAll — one shard-lock pass per shard
-// instead of a lock round-trip per rule — and the store's dedup verdict
-// (added vs rejected) is at least observable there, where the
-// one-at-a-time Add loop silently discarded it.
+// publish pushes a merged batch into Options.PublishTo, if set, in the
+// batch's order; the store's dedup decides winners rule by rule.
 func (o Options) publish(out []*rules.Rule) {
 	if o.PublishTo == nil || len(out) == 0 {
 		return

@@ -188,51 +188,17 @@ func (s *Store) Add(r *Rule) bool {
 	return added
 }
 
-// AddAll installs a batch of rules with one lock acquisition per shard:
-// the batch is grouped by owning shard, then each shard's rules are
-// inserted in their input order under a single write-lock pass. The
-// per-rule dedup decisions, version bumps, and final store contents are
-// exactly what the same sequence of Add calls would produce — AddAll
-// only amortizes the lock traffic (and gives batch publishers like
-// learn.Options.publish and the rule miner added/rejected feedback that
-// one-at-a-time Add discards). The batch latency lands in rules_add_ns
-// as one observation per touched shard.
+// AddAll calls Add on each rule in input order — same per-rule dedup
+// decisions, version bumps and telemetry — and reports how many were
+// installed and how many refused, the feedback batch publishers
+// (learn.Options.publish, the rule miner) want.
 func (s *Store) AddAll(list []*Rule) (added, rejected int) {
-	if len(list) == 0 {
-		return 0, 0
-	}
-	tel := s.telArmed()
-	byShard := make([][]*Rule, len(s.shards))
 	for _, r := range list {
-		si := HashKey(r.Guest) % len(s.shards)
-		byShard[si] = append(byShard[si], r)
-	}
-	for si, batch := range byShard {
-		if len(batch) == 0 {
-			continue
+		if s.Add(r) {
+			added++
+		} else {
+			rejected++
 		}
-		var st0 time.Time
-		if tel != nil {
-			st0 = time.Now()
-		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for _, r := range batch {
-			if s.addLocked(sh, HashKey(r.Guest), r) {
-				added++
-			} else {
-				rejected++
-			}
-		}
-		sh.mu.Unlock()
-		if tel != nil {
-			tel.addNS.ObserveSince(st0)
-		}
-	}
-	if tel != nil {
-		tel.adds.Add(uint64(added))
-		tel.addRejects.Add(uint64(rejected))
-		tel.telStoreState(s.version.Load(), int(s.count.Load()))
 	}
 	return added, rejected
 }

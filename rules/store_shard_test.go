@@ -88,8 +88,7 @@ func TestStoreQuarantineShardConfined(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentShardConfinement is the -race variant (the name
-// rides ci.sh's ^TestStoreConcurrent fault-stage filter): quarantine
+// TestStoreConcurrentShardConfinement is the -race variant: quarantine
 // traffic hammering shard A must leave concurrent shard-B readers and
 // freezers undisturbed, and B's version must come out exactly where it
 // started.

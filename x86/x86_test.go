@@ -759,6 +759,23 @@ func TestUsesDefsFlagsConsistency(t *testing.T) {
 	}
 }
 
+// TestEncodedLenDoesNotAllocate: the engine sizes every translated host
+// instruction through EncodedLen, so it must stay off the heap — also
+// for the longest form the encoder has (opcode, ModRM, SIB, disp32,
+// imm32).
+func TestEncodedLenDoesNotAllocate(t *testing.T) {
+	ins := MustParseSeq("movl $305419896, 74565(%eax,%ecx,4); addl $4, %eax; jne 3; movzbl 8(%esp), %edx; ret")
+	for _, in := range ins {
+		in := in
+		if n := EncodedLen(in); n == 0 || n > maxEncodedLen {
+			t.Errorf("EncodedLen(%s) = %d, want 1..%d", in, n, maxEncodedLen)
+		}
+		if a := testing.AllocsPerRun(100, func() { EncodedLen(in) }); a != 0 {
+			t.Errorf("EncodedLen(%s): %v allocs per call, want 0", in, a)
+		}
+	}
+}
+
 // TestSeqEncodedLenCloneBasics covers the small utility surfaces.
 func TestSeqEncodedLenCloneBasics(t *testing.T) {
 	ins := MustParseSeq("movl %ecx, %eax; addl $4, %eax")

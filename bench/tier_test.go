@@ -205,3 +205,70 @@ func TestRulesNativeBeatsQemuNative(t *testing.T) {
 		t.Errorf("rules-native %v ns/op is slower than qemu-native %v ns/op", r, q)
 	}
 }
+
+// TestNativeLinkRoundTrips pins the exact counter behind native-to-native
+// links: on warm mcf under the default tier ladder, at most one dispatch
+// in a hundred goes back through the Go dispatch loop, for both
+// backends; every other one is a link the trampoline's stub followed.
+// Without links the ratio is 1 by construction.
+func TestNativeLinkRoundTrips(t *testing.T) {
+	if !dbt.NativeSupported() {
+		t.Skip("native back end not available on this host")
+	}
+	mcf, _ := corpus.ByName("mcf")
+	g, _, err := CompilePair(mcf, codegen.StyleLLVM, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := LeaveOneOut("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []uint32{uint32(mcf.TestN), 12345}
+	for _, backend := range []dbt.Backend{dbt.BackendQEMU, dbt.BackendRules} {
+		var st *rules.Store
+		if backend == dbt.BackendRules {
+			st = store
+		}
+		e := warmEngine(t, g, backend, st, dbt.TierAuto, args)
+		stats, tiers := e.Stats, e.TierStats
+		if _, err := e.Run("bench", args, 4_000_000_000); err != nil {
+			t.Fatal(err)
+		}
+		dispatches := e.Stats.DispatchCount - stats.DispatchCount
+		links := e.TierStats.NativeLinks - tiers.NativeLinks
+		native := e.TierStats.NativeDispatches - tiers.NativeDispatches
+		ratio := float64(dispatches-links) / float64(dispatches)
+		t.Logf("%s: %d dispatches, %d native, %d linked: %.4f Go round trips per dispatch",
+			backend, dispatches, native, links, ratio)
+		if links > native {
+			t.Errorf("%s: %d links exceed %d native dispatches", backend, links, native)
+		}
+		if ratio > 0.01 {
+			t.Errorf("%s: %.4f Go round trips per dispatch, want <= 0.01", backend, ratio)
+		}
+	}
+}
+
+// TestWarmPinnedRunAllocs pins the allocation-free warm Run: once every
+// block is translated and in its final form, a Run pinned to the native
+// or the threaded tier allocates nothing.
+func TestWarmPinnedRunAllocs(t *testing.T) {
+	mcf, _ := corpus.ByName("mcf")
+	g, _, err := CompilePair(mcf, codegen.StyleLLVM, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []uint32{uint32(mcf.TestN), 12345}
+	for _, tier := range []dbt.Tier{dbt.TierNative, dbt.TierThreaded} {
+		e := warmEngine(t, g, dbt.BackendQEMU, nil, tier, args)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := e.Run("bench", args, 4_000_000_000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm %s-tier mcf Run: %v allocations, want 0", tier, allocs)
+		}
+	}
+}

@@ -14,8 +14,9 @@
 // elsewhere it degrades to threaded), and auto (the default) interprets
 // cold blocks and promotes hot ones up the ladder. The modeled counters
 // are identical under every tier — the report's "tiers" line (and the
-// tier/tiers JSON fields) shows the per-tier dispatch split and
-// promotion counts.
+// tier/tiers JSON fields) shows the per-tier dispatch split, how many
+// native dispatches went native block to native block over a link
+// without a round trip through the dispatch loop, and promotion counts.
 //
 // -rules-url fetches the rule snapshot from a ruleserve endpoint instead
 // of a local file; the rules pass the same self-test gate as -rules, so a
@@ -345,8 +346,8 @@ func report(e *dbt.Engine, benchName string, backend dbt.Backend, workload strin
 	fmt.Printf("result         %d\n", int32(ret))
 	fmt.Print(st.String())
 	ts := &e.TierStats
-	fmt.Printf("tiers          %s: %d interp + %d threaded + %d native dispatches, %d+%d promotions, %d+%d demotions\n",
-		e.Tier, ts.InterpDispatches, ts.ThreadedDispatches, ts.NativeDispatches,
+	fmt.Printf("tiers          %s: %d interp + %d threaded + %d native dispatches (%d linked), %d+%d promotions, %d+%d demotions\n",
+		e.Tier, ts.InterpDispatches, ts.ThreadedDispatches, ts.NativeDispatches, ts.NativeLinks,
 		ts.Promotions, ts.NativePromotions, ts.Demotions, ts.NativeDemotions)
 	if ts.NativeBailouts > 0 {
 		fmt.Printf("native bails   %d\n", ts.NativeBailouts)

@@ -16,7 +16,6 @@ import (
 	"dbtrules/bench"
 	"dbtrules/codegen"
 	"dbtrules/corpus"
-	"dbtrules/learn"
 )
 
 func main() {
@@ -74,34 +73,7 @@ func runTable1() {
 		die(err)
 	}
 	fmt.Println("Table 1. Learning results (synthetic corpus, llvm-O2).")
-	fmt.Println("            PL  KLoC |   #F prep (CI/PI/MB) | #F param (Num/Name/FailG) | #F verify (Rg/Mm/Br/Other) | #Rules  Time")
-	var sums [learn.NumBuckets]int
-	cands := 0
-	for _, r := range rows {
-		b := r.Buckets
-		fmt.Printf("%-11s %-3s %5.1f | %6d %4d %5d | %8d %6d %8d | %6d %4d %4d %6d | %6d  %6.2fs\n",
-			r.Name, r.Lang, r.KLoC,
-			b[learn.PrepCI], b[learn.PrepPI], b[learn.PrepMB],
-			b[learn.ParamNum], b[learn.ParamName], b[learn.ParamFailG],
-			b[learn.VerifyRg], b[learn.VerifyMm], b[learn.VerifyBr], b[learn.VerifyOther],
-			b[learn.Learned], r.Time.Seconds())
-		for i := range sums {
-			sums[i] += b[i]
-		}
-		cands += r.Candidates
-	}
-	pct := func(buckets ...learn.Bucket) float64 {
-		n := 0
-		for _, b := range buckets {
-			n += sums[b]
-		}
-		return 100 * float64(n) / float64(cands)
-	}
-	fmt.Printf("aggregate: prep %.0f%%  param %.0f%%  verify %.0f%%  yield %.0f%%  (paper: 43%% / 19%% / 14%% / 24%%)\n",
-		pct(learn.PrepCI, learn.PrepPI, learn.PrepMB),
-		pct(learn.ParamNum, learn.ParamName, learn.ParamFailG),
-		pct(learn.VerifyRg, learn.VerifyMm, learn.VerifyBr, learn.VerifyOther),
-		pct(learn.Learned))
+	fmt.Print(bench.FormatTable1(rows))
 	var vs float64
 	for _, r := range rows {
 		vs += r.VerifyShare

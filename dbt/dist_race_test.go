@@ -99,3 +99,63 @@ done:
 	<-subDone
 	<-churnDone
 }
+
+// spinSrc runs one tight loop for as long as its argument says: after a
+// warm-up Run every block is native and every edge linked, so a long Run
+// stays inside the trampoline's link stub.
+const spinSrc = `
+int spin(int n) {
+	int i;
+	int s = 0;
+	for (i = 0; i < n; i++) {
+		s = s + (i ^ (s >> 3));
+	}
+	return s;
+}
+`
+
+// TestOfferRulesDuringLinkedRun pins the link stub's offer breaker: an
+// OfferRules from another goroutine while a Run is deep inside a chain of
+// native links must be adopted before that Run returns, not at the next
+// Run. Run under -race with the rest of the package.
+func TestOfferRulesDuringLinkedRun(t *testing.T) {
+	if !NativeSupported() {
+		t.Skip("native back end not available on this host")
+	}
+	g, _ := compileGuest(t, spinSrc, codegen.Options{Style: codegen.StyleLLVM, OptLevel: 2, SourceName: "spin"})
+	e := NewEngine(g, BackendQEMU, nil)
+	e.Tier = TierNative
+	if _, err := e.Run("spin", []uint32{1000}, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	// The offer must land well inside the Run for the test to say anything;
+	// a scheduler that delays the offering goroutine past that makes the
+	// attempt inconclusive, and it is repeated.
+	for attempt := 0; attempt < 5; attempt++ {
+		store := rules.NewStore()
+		links := e.TierStats.NativeLinks
+		sent := make(chan time.Time, 1)
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			e.OfferRules(store)
+			sent <- time.Now()
+		}()
+		if _, err := e.Run("spin", []uint32{5_000_000}, 1<<40); err != nil {
+			t.Fatal(err)
+		}
+		end := time.Now()
+		at := <-sent
+		if e.TierStats.NativeLinks-links < 1000 {
+			t.Fatalf("the Run took %d links, want a linked loop", e.TierStats.NativeLinks-links)
+		}
+		if end.Sub(at) < 10*time.Millisecond {
+			e.adoptOffered()
+			continue
+		}
+		if e.Rules != store || e.offerPending() {
+			t.Fatal("an offer made during a linked Run was not adopted before the Run returned")
+		}
+		return
+	}
+	t.Skip("the offer never landed well inside the Run")
+}

@@ -3,8 +3,10 @@ package dbt
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dbtrules/arm"
 	"dbtrules/dbt/jitbuf"
@@ -58,7 +60,10 @@ type TB struct {
 	// succ records the successor entry GPCs this block's exit jump has
 	// been patched (chained) to. Out-degree is tiny (direct branches have
 	// ≤ 2 targets; indirect exits a handful of return sites), so a linear
-	// scan beats any map.
+	// scan beats any map. For a native block whose successor is native
+	// too the patch is real: exec writes the edge into the block's link
+	// record, and the trampoline's link stub follows it without coming
+	// back to the dispatch loop (see link.go).
 	succ []int32
 	// Gen is the entry page's generation counter at translate time; a
 	// mismatch at dispatch means the page was invalidated after this block
@@ -87,6 +92,9 @@ type TB struct {
 	native      *native.Code
 	nativeEntry uintptr
 	nativeGen   uint64
+	// link is the native block's link record (see x86/native.Link),
+	// allocated with its code and nil on every other tier.
+	link *native.Link
 }
 
 // chainedTo reports whether this block's exit is already patched to jump
@@ -214,7 +222,9 @@ type Engine struct {
 	// fault-free path).
 	forceTCG map[int]bool
 	// faultRetries counts contained faults per entry PC within one Run,
-	// bounding the containment loop (see maxFaultRetries).
+	// bounding the containment loop (see maxFaultRetries). Allocated on
+	// the first fault like forceTCG, and emptied, not reallocated, by
+	// each Run.
 	faultRetries map[int]int
 	// curRule is the rule currently being applied by the translator, for
 	// fault attribution; it is only non-nil inside tryRules.
@@ -229,6 +239,16 @@ type Engine struct {
 	// engines that never reach the native tier pay nothing.
 	jit  *jitbuf.Buf
 	nctx *native.Ctx
+	// linkTBs is the link table: the native block owning each link
+	// record, indexed by Link.ID, nil where the block was dropped. It
+	// grows by one per native promotion and is emptied with the code
+	// buffer. linked is set once any record holds a link, so a burst of
+	// drops unlinks the table once.
+	linkTBs []*TB
+	linked  bool
+	// maxGuest is the running Run's guest-instruction budget, which the
+	// link stub's countdown must not pass.
+	maxGuest uint64
 	// tel holds the pre-resolved telemetry handles, nil unless
 	// SetTelemetry attached a registry (see telemetry.go). Every hook
 	// site is gated on nil-ness plus the registry's armed bit, so an
@@ -239,10 +259,14 @@ type Engine struct {
 	// observes the run, never feeds the cycle model.
 	ruleHits map[int]uint64
 	Stats    Stats
-	// offered holds a pending rule-set swap from OfferRules, adopted at
-	// the next safe point (see swap.go). Engines that never subscribe pay
-	// one atomic load per dispatch iteration for it.
-	offered atomic.Pointer[offeredRules]
+	// offer holds a pending rule-set swap from OfferRules, adopted at the
+	// next safe point (see swap.go); offerFlag is 1 while one is pending.
+	// Engines that never subscribe pay one atomic load of offerFlag per
+	// dispatch iteration, and the native link stub polls the same word
+	// (native.Ctx.Stop) so an offer also ends a chain of links.
+	offerMu   sync.Mutex
+	offer     *offeredRules
+	offerFlag atomic.Uint32
 }
 
 // NewEngine prepares an engine for a guest binary.
@@ -309,7 +333,8 @@ func (e *Engine) Run(fn string, args []uint32, maxGuestInstrs uint64) (uint32, e
 	e.lastTB = nil
 	// The fault-retry budget is per Run: a fault contained long ago must
 	// not eat into this run's allowance.
-	e.faultRetries = map[int]int{}
+	clear(e.faultRetries)
+	e.maxGuest = maxGuestInstrs
 	e.adoptOffered()
 	for r := arm.Reg(0); r < arm.NumRegs; r++ {
 		e.setEnv(EnvReg(r), 0)
@@ -454,7 +479,8 @@ func (e *Engine) exec(tb *TB) {
 		panic(injectedPanic{point: faultinject.InterpPanic})
 	}
 	chained := false
-	if prev := e.lastTB; !e.DisableChaining && prev != nil && prev.chainedTo(tb.EntryGPC) {
+	prev := e.lastTB
+	if !e.DisableChaining && prev != nil && prev.chainedTo(tb.EntryGPC) {
 		e.Stats.ExecCycles += costDispatchChained
 		e.Stats.ChainHits++
 		chained = true
@@ -487,7 +513,14 @@ run:
 			e.demoteNative(tb)
 			goto run
 		}
-		e.execNative(tb)
+		// A chained edge between two native blocks becomes a link; a
+		// record whose slots are all taken keeps it on this loop.
+		if chained && prev.link != nil && prev.link.Add(int64(tb.EntryGPC), tb.nativeEntry, tb.link) {
+			e.linked = true
+		}
+		// Links may carry the run on past tb: lastTB is the block that
+		// ran last, and the dispatches the stub served are in Stats.
+		e.lastTB = e.execNative(tb)
 		e.TierStats.NativeDispatches++
 	case TierThreaded:
 		thunks, costs, st := tb.thunks, tb.HostCosts, e.st
@@ -532,21 +565,45 @@ run:
 	}
 }
 
-// execNative runs one TB through its emitted machine code. The code
-// charges the cycle model itself (into ctx.Cycles/Instrs, drained here);
-// a bail hands exactly one instruction back to the Step interpreter —
-// charged identically — then warms the TLB with the pages that
-// instruction touched and re-enters at the next instruction's entry
-// offset. The result is bit-identical Stats to the other tiers: every
-// executed instruction is charged exactly once, by exactly one side.
-func (e *Engine) execNative(tb *TB) {
-	st, ctx, code := e.st, e.nctx, tb.native
-	ctx.Cycles, ctx.Instrs = 0, 0
+// execNative runs one TB through its emitted machine code, and returns
+// the block that ran last: tb itself, or the last of the chained native
+// successors the trampoline's link stub went on to (see link.go). The code
+// charges the cycle model itself (into ctx.Cycles/Instrs, drained here
+// after every return); a bail hands exactly one instruction of the block
+// running then back to the Step interpreter — charged identically — then
+// warms the TLB with the pages that instruction touched and re-enters
+// that block at the next instruction's entry offset. The result is
+// bit-identical Stats to the other tiers: every executed instruction is
+// charged exactly once, by exactly one side, and every linked dispatch
+// exactly as exec's chained path charges it.
+func (e *Engine) execNative(tb *TB) *TB {
+	st, ctx := e.st, e.nctx
+	ctx.Cur = 0
+	if tb.link != nil && e.linkable() {
+		ctx.Cur, ctx.CurID = uintptr(unsafe.Pointer(tb.link)), tb.link.ID
+		ctx.Left = e.linkAllowance(tb)
+		ctx.EnvPC = (*uint32)(unsafe.Pointer(&e.env[EnvPC&(mach.PageSize-1)]))
+	}
 	var bails uint64
 	pc := 0
 	for pc >= 0 && pc < len(tb.Host) {
 		ctx.Bail = 0
-		native.Enter(tb.nativeEntry+uintptr(code.Offsets[pc]), st, ctx)
+		native.Enter(tb.nativeEntry+uintptr(tb.native.Offsets[pc]), st, ctx)
+		e.Stats.ExecCycles += ctx.Cycles
+		e.Stats.HostInstrs += ctx.Instrs
+		ctx.Cycles, ctx.Instrs = 0, 0
+		if n := ctx.Links; n != 0 {
+			tb = e.linkTBs[ctx.CurID]
+			e.curTB = tb
+			e.Stats.DispatchCount += n
+			e.Stats.ChainHits += n
+			e.Stats.GuestInstrs += ctx.LinkGuest
+			e.Stats.DynTotal += ctx.LinkGuest
+			e.Stats.DynCovered += ctx.LinkCovered
+			e.TierStats.NativeDispatches += n
+			e.TierStats.NativeLinks += n
+			ctx.Links, ctx.LinkGuest, ctx.LinkCovered = 0, 0, 0
+		}
 		pc = int(ctx.NextPC)
 		if ctx.Bail == 0 {
 			continue
@@ -590,12 +647,11 @@ func (e *Engine) execNative(tb *TB) {
 			ctx.Install(warm[i], st.Mem.PageBase(warm[i]))
 		}
 	}
-	e.Stats.ExecCycles += ctx.Cycles
-	e.Stats.HostInstrs += ctx.Instrs
 	e.TierStats.NativeBailouts += bails
 	if t := e.tel; t.armed() {
 		t.telNativeBails(bails)
 	}
+	return tb
 }
 
 // discover returns the guest basic block starting at gpc.

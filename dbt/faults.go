@@ -87,6 +87,17 @@ func (e *Engine) translateGuarded(gpc int) (tb *TB, err error) {
 	return e.translate(gpc)
 }
 
+// retry counts one more contained fault at gpc in this Run and returns
+// the count. The map is allocated on the first fault, so a fault-free
+// Run allocates nothing for it.
+func (e *Engine) retry(gpc int) int {
+	if e.faultRetries == nil {
+		e.faultRetries = map[int]int{}
+	}
+	e.faultRetries[gpc]++
+	return e.faultRetries[gpc]
+}
+
 // contain handles a fault raised while translating the block at gpc.
 // When a rule is implicated it is quarantined (pulled from the store, so
 // the retranslation — and every other engine sharing the store — stops
@@ -95,8 +106,7 @@ func (e *Engine) translateGuarded(gpc int) (tb *TB, err error) {
 // Returns false when the retry budget for this entry is exhausted.
 func (e *Engine) contain(fe *FaultError, gpc int) bool {
 	e.Stats.Faults++
-	e.faultRetries[gpc]++
-	if e.faultRetries[gpc] > maxFaultRetries {
+	if e.retry(gpc) > maxFaultRetries {
 		e.tel.telFault(fe, false, e.faultRetries[gpc])
 		return false
 	}
@@ -122,8 +132,7 @@ func (e *Engine) contain(fe *FaultError, gpc int) bool {
 func (e *Engine) containExec(fe *FaultError, tb *TB) bool {
 	e.Stats.Faults++
 	gpc := tb.EntryGPC
-	e.faultRetries[gpc]++
-	if e.faultRetries[gpc] > maxFaultRetries {
+	if e.retry(gpc) > maxFaultRetries {
 		e.tel.telFault(fe, false, e.faultRetries[gpc])
 		return false
 	}

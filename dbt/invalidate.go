@@ -12,8 +12,9 @@ const tbPageShift = 6
 // their pages' generation counters are bumped (a second line of defence —
 // a stale TB that somehow survives the sweep is caught at dispatch), and
 // every surviving block's chain list is unlinked from the removed entries
-// so a patched exit jump cannot land in freed code. It returns the number
-// of blocks invalidated.
+// so a patched exit jump cannot land in freed code — for native blocks,
+// whose patched jumps are link records, drop empties every record. It
+// returns the number of blocks invalidated.
 //
 // This is the self-modifying-code hook: a guest store into its own code
 // region must be followed by Invalidate over the written range before the

@@ -33,20 +33,31 @@ func (e *Engine) OfferRules(store *rules.Store) {
 	if store != nil {
 		o.idx = store.Freeze()
 	}
-	e.offered.Store(o)
+	e.offerMu.Lock()
+	e.offer = o
+	e.offerFlag.Store(1)
+	e.offerMu.Unlock()
 }
+
+// offerPending reports whether an offer waits to be adopted.
+func (e *Engine) offerPending() bool { return e.offerFlag.Load() != 0 }
 
 // adoptOffered installs a pending offer, if any. Called only at safe
 // points: no TB is executing, so flushing the cache cannot pull code out
 // from under a running block. The dispatch loop calls it between every
-// two blocks, so the no-offer path is a plain load; the Swap (a full
-// barrier) runs only once an offer is seen, and still returns the newest
-// one if another landed in between.
+// two blocks, so the no-offer path is one atomic load of offerFlag; the
+// lock is taken only once an offer is seen, and the flag is cleared
+// under it together with taking the newest offer, so an offer landing at
+// any moment either is the one taken here or leaves the flag set.
 func (e *Engine) adoptOffered() {
-	if e.offered.Load() == nil {
+	if !e.offerPending() {
 		return
 	}
-	o := e.offered.Swap(nil)
+	e.offerMu.Lock()
+	o := e.offer
+	e.offer = nil
+	e.offerFlag.Store(0)
+	e.offerMu.Unlock()
 	e.Rules = o.store
 	e.idx = o.idx
 	e.scan = nil
@@ -63,7 +74,7 @@ func (e *Engine) adoptOffered() {
 		// buffer: bump its generation and reclaim the space. The
 		// generation check at dispatch is the backstop for any TB pointer
 		// that somehow outlives the flush.
-		e.jit.Reset()
+		e.resetJIT()
 	}
 	if t := e.tel; t.armed() {
 		t.ruleSwaps.Inc()

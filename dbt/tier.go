@@ -95,6 +95,10 @@ type TierStats struct {
 	InterpDispatches   uint64 `json:"interp_dispatches"`
 	ThreadedDispatches uint64 `json:"threaded_dispatches"`
 	NativeDispatches   uint64 `json:"native_dispatches"`
+	// NativeLinks is the part of NativeDispatches served by a link —
+	// native block to native block inside the trampoline, with no round
+	// trip through the dispatch loop (see link.go).
+	NativeLinks uint64 `json:"native_links"`
 	// Promotions counts thunk compilations; Demotions counts
 	// thunk-promoted blocks dropped from the code cache (invalidation,
 	// rule hot-swap, fault containment, stale generation) — their thunks
@@ -220,6 +224,9 @@ func (e *Engine) promoteNative(tb *TB) {
 		e.jit = jitbuf.New()
 		e.jit.Limit = e.JITLimit
 		e.nctx = native.NewCtx()
+		e.nctx.Stop = &e.offerFlag
+		e.nctx.StackTop = HostStackTop
+		e.nctx.LinkCycles = costDispatchChained
 	}
 	entry, perr := e.jit.Place(code.Text)
 	if perr != nil {
@@ -237,6 +244,7 @@ func (e *Engine) promoteNative(tb *TB) {
 	tb.nativeEntry = entry
 	tb.nativeGen = e.jit.Gen()
 	tb.tier = TierNative
+	e.newLink(tb)
 	e.TierStats.NativePromotions++
 	if t := e.tel; t.armed() {
 		t.telPromote(tb, TierNative)
@@ -250,6 +258,7 @@ func (e *Engine) promoteNative(tb *TB) {
 // straight onto the native tier is installed afresh.
 func (e *Engine) demoteNative(tb *TB) {
 	tb.native, tb.nativeEntry = nil, 0
+	e.unlink(tb)
 	e.TierStats.NativeDemotions++
 	if tb.thunks != nil {
 		tb.tier, tb.climbAt = TierThreaded, 0
@@ -261,9 +270,10 @@ func (e *Engine) demoteNative(tb *TB) {
 // drop is the one way a block leaves the code cache. Every removal path
 // (Invalidate, rule hot-swap flush, fault containment, the
 // stale-generation backstop) calls it, so the slot, the count, the
-// demotions in TierStats and lastTB always agree with the cache's
-// contents: the next dispatch can neither chain from nor patch a block
-// that is gone. Callers add their own Stats and telemetry lines.
+// demotions in TierStats, lastTB and the link table always agree with
+// the cache's contents: the next dispatch can neither chain from nor
+// patch a block that is gone, and no link leads to it. Callers add their
+// own Stats and telemetry lines.
 func (e *Engine) drop(tb *TB) {
 	if tb.thunks != nil {
 		e.TierStats.Demotions++
@@ -271,6 +281,7 @@ func (e *Engine) drop(tb *TB) {
 	if tb.native != nil {
 		e.TierStats.NativeDemotions++
 	}
+	e.unlink(tb)
 	e.tbs[tb.EntryGPC] = nil
 	e.tbCount--
 	if e.lastTB == tb {

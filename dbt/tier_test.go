@@ -15,6 +15,17 @@ import (
 // inspection.
 func runUnderTier(t *testing.T, label, src string, args []uint32, backend Backend, tier Tier, threshold, nativeThreshold int) (*Engine, uint32) {
 	t.Helper()
+	e, ret, err := runUnderTierBudget(t, src, args, backend, tier, threshold, nativeThreshold, 200_000_000)
+	if err != nil {
+		t.Fatalf("%s %s tier %s: %v\n%s", label, backend, tier, err, src)
+	}
+	return e, ret
+}
+
+// runUnderTierBudget is runUnderTier with a guest-instruction budget,
+// returning the Run's error instead of failing on it.
+func runUnderTierBudget(t *testing.T, src string, args []uint32, backend Backend, tier Tier, threshold, nativeThreshold int, budget uint64) (*Engine, uint32, error) {
+	t.Helper()
 	g, _ := compileGuest(t, src, codegen.Options{Style: codegen.StyleLLVM, OptLevel: 2, SourceName: "tier"})
 	var e *Engine
 	if backend == BackendRules {
@@ -25,11 +36,8 @@ func runUnderTier(t *testing.T, label, src string, args []uint32, backend Backen
 	e.Tier = tier
 	e.PromoteThreshold = threshold
 	e.NativeThreshold = nativeThreshold
-	ret, err := e.Run("work", args, 200_000_000)
-	if err != nil {
-		t.Fatalf("%s %s tier %s: %v\n%s", label, backend, tier, err, src)
-	}
-	return e, ret
+	ret, err := e.Run("work", args, budget)
+	return e, ret, err
 }
 
 // tierConfigs is the non-baseline tier matrix every differential runs:
@@ -50,23 +58,31 @@ var tierConfigs = []struct {
 }
 
 // checkTiersAgree runs one program under the interpreter tier and every
-// tierConfigs entry, and requires the return value, the full Stats
-// struct, guest-visible memory and the memory access counters to be
-// bit-identical — the determinism contract neither threading nor native
-// compilation may break.
-func checkTiersAgree(t *testing.T, label, src string, args []uint32) {
+// tierConfigs entry, and requires the return value, the Run's error, the
+// full Stats struct, guest-visible memory and the memory access counters
+// to be bit-identical — the determinism contract neither threading nor
+// native compilation may break. A budget above zero is the fraction of
+// the program's guest instructions the runs may execute: below 1 the
+// runs end on the budget error, wherever it falls — inside a chain of
+// native links included.
+func checkTiersAgree(t *testing.T, label, src string, args []uint32, budget float64) {
 	t.Helper()
 	for _, backend := range []Backend{BackendQEMU, BackendRules} {
-		base, baseRet := runUnderTier(t, label, src, args, backend, TierInterp, 0, 0)
+		limit := uint64(200_000_000)
+		if budget > 0 {
+			full, _ := runUnderTier(t, label, src, args, backend, TierInterp, 0, 0)
+			limit = uint64(budget * float64(full.Stats.GuestInstrs))
+		}
+		base, baseRet, baseErr := runUnderTierBudget(t, src, args, backend, TierInterp, 0, 0, limit)
 		if base.TierStats.ThreadedDispatches != 0 || base.TierStats.Promotions != 0 ||
 			base.TierStats.NativeDispatches != 0 {
 			t.Fatalf("%s %s: interp tier promoted blocks: %+v", label, backend, base.TierStats)
 		}
 		for _, cfg := range tierConfigs {
-			e, ret := runUnderTier(t, label, src, args, backend, cfg.tier, cfg.threshold, cfg.nativeThreshold)
-			tag := fmt.Sprintf("%s %s tier %s/th=%d/nth=%d", label, backend, cfg.tier, cfg.threshold, cfg.nativeThreshold)
-			if ret != baseRet {
-				t.Fatalf("%s: returned %d, interp tier %d\n%s", tag, int32(ret), int32(baseRet), src)
+			e, ret, err := runUnderTierBudget(t, src, args, backend, cfg.tier, cfg.threshold, cfg.nativeThreshold, limit)
+			tag := fmt.Sprintf("%s %s tier %s/th=%d/nth=%d budget %d", label, backend, cfg.tier, cfg.threshold, cfg.nativeThreshold, limit)
+			if ret != baseRet || fmt.Sprint(err) != fmt.Sprint(baseErr) {
+				t.Fatalf("%s: returned (%d, %v), interp tier (%d, %v)\n%s", tag, int32(ret), err, int32(baseRet), baseErr, src)
 			}
 			if !reflect.DeepEqual(e.Stats, base.Stats) {
 				t.Fatalf("%s: Stats diverge from interp tier\ngot:    %+v\ninterp: %+v\n%s",
@@ -112,7 +128,7 @@ func FuzzThreadedMatchesStep(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		src := genDBTProgram(r)
 		args := []uint32{uint32(r.Int31n(2000) - 1000), uint32(r.Int31n(2000) - 1000)}
-		checkTiersAgree(t, fmt.Sprintf("seed %d", seed), src, args)
+		checkTiersAgree(t, fmt.Sprintf("seed %d", seed), src, args, 0)
 	})
 }
 
@@ -127,7 +143,7 @@ func TestTiersAgreeFixed(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		src := genDBTProgram(r)
 		args := []uint32{uint32(r.Int31n(2000) - 1000), uint32(r.Int31n(2000) - 1000)}
-		checkTiersAgree(t, fmt.Sprintf("iter %d", it), src, args)
+		checkTiersAgree(t, fmt.Sprintf("iter %d", it), src, args, 0)
 	}
 }
 
@@ -266,17 +282,22 @@ func TestParseTier(t *testing.T) {
 // fuzz gate, mirroring FuzzThreadedMatchesStep one tier up: random guest
 // programs must produce bit-identical results, Stats, and memory whether
 // the Step switch or emitted machine code executes them (checkTiersAgree
-// includes the TierNative and auto-to-native configurations). On hosts
-// without the back end it pins the degradation path instead.
+// includes the TierNative and auto-to-native configurations). Each seed
+// also draws a guest-instruction budget, so budget expiry and bails land
+// inside chains of native links. On hosts without the back end it pins
+// the degradation path instead.
 func FuzzNativeMatchesStep(f *testing.F) {
-	for _, seed := range []int64{2, 11, 90210} {
+	// Seed 21 runs out of budget after 26 links.
+	for _, seed := range []int64{2, 11, 21, 90210} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
 		src := genDBTProgram(r)
 		args := []uint32{uint32(r.Int31n(2000) - 1000), uint32(r.Int31n(2000) - 1000)}
-		checkTiersAgree(t, fmt.Sprintf("native seed %d", seed), src, args)
+		// A random budget: a quarter of the seeds complete, the rest stop
+		// on the budget error somewhere in the run.
+		checkTiersAgree(t, fmt.Sprintf("native seed %d", seed), src, args, 0.01+r.Float64()*1.32)
 	})
 }
 

@@ -51,12 +51,31 @@
 // therefore equals Step's at every block exit, and at a bail it holds
 // every flag the bailed instruction or anything after it can read.
 //
+// Links. Enter's trampoline also holds the link stub, which keeps a run
+// in emitted code from one block to the next. Each placed block has a
+// fixed-layout Link record — data, never patched code: its chained
+// native successors (guest pc, code entry, record; LinkSlots of them),
+// its host and guest lengths, its rule-covered guest count and a pointer
+// to its execution counter. When Ctx.Cur names the running block's
+// record and the block exits normally, the stub reads the guest pc word
+// (Ctx.EnvPC), looks it up in the record and enters the successor,
+// charging exactly what the engine's chained dispatch charges: the
+// chained-dispatch cycles (Ctx.LinkCycles) and the 4-byte read of the
+// guest pc into the accumulators, one dispatch and the successor's
+// guest and covered instructions into Ctx.Links/LinkGuest/LinkCovered,
+// one execution into the successor's counter, and a host ESP reset to
+// Ctx.StackTop. It returns to the caller on a link miss, on a bail, on a
+// RET back into the block, and on either breaker: the countdown
+// Ctx.Left dropping below zero, or a nonzero *Ctx.Stop. The caller
+// decides per Enter whether links are on at all.
+//
 // The whole back end is gated on //go:build amd64 (plus linux for the
 // code buffer); elsewhere Supported() is false and the tier ladder tops
 // out at threaded.
 package native
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"dbtrules/mach"
@@ -110,6 +129,92 @@ type Ctx struct {
 	// instructions executed natively since the engine last zeroed them.
 	Cycles uint64
 	Instrs uint64
+
+	// The link state (see Link). Cur is the record of the block running
+	// now and CurID its Link.ID; the caller sets both before entering a
+	// block whose exits may be linked, the stub moves them along each
+	// link, and Cur == 0 turns links off. The stub links only while Left
+	// is not negative, deducting each successor's GuestLen from it; it
+	// also stops whenever *Stop is nonzero. EnvPC points at the guest pc
+	// word the block exits store; StackTop is the host ESP every dispatch
+	// starts from and LinkCycles the cycle charge of a chained dispatch.
+	Cur        uintptr
+	CurID      int64
+	Left       int64
+	Stop       *atomic.Uint32
+	EnvPC      *uint32
+	LinkCycles uint64
+	StackTop   uint32
+	_          uint32
+	// Links counts the links taken since the caller last zeroed it (each
+	// one a dispatch, a chain hit and a native dispatch); LinkGuest and
+	// LinkCovered sum the linked blocks' GuestLen and Covered.
+	Links       uint64
+	LinkGuest   uint64
+	LinkCovered uint64
+}
+
+// LinkSlots is the number of chained successors one Link record holds.
+// Measured on the 12 corpus guests, no native block has more than two
+// chained successors (a conditional branch's pair); the other two slots
+// are headroom for indirect exits. An edge that finds every slot taken
+// keeps going through the engine's dispatch loop.
+const LinkSlots = 4
+
+// NoLink is the GPC of an empty LinkSucc slot: no guest pc the stub
+// loads (a zero-extended 32-bit word) equals it.
+const NoLink = -1
+
+// LinkSucc is one link: the guest pc of a chained successor block, the
+// address of that block's code (entered at offset 0), and its record.
+type LinkSucc struct {
+	GPC   int64
+	Entry uintptr
+	Rec   *Link
+}
+
+// Link is one native block's link record: the fixed-layout data the
+// trampoline's link stub reads to go from this block straight to a
+// chained successor without returning to the caller. Records are data,
+// never code: linking a block patches no instruction and costs no
+// mprotect. The stub adds GuestLen and Covered to the Ctx counters and
+// increments *Exec (the owner's execution counter) for every linked
+// entry. Records must stay reachable from the engine for as long as any
+// other record or a Ctx.Cur refers to them.
+type Link struct {
+	Succ [LinkSlots]LinkSucc
+	// HostLen is the block's host instruction count: an exit whose
+	// NextPC is below it (a RET back into the block) is not a block exit.
+	HostLen  int64
+	GuestLen int64
+	Covered  int64
+	Exec     *uint64
+	// ID is the owner's index in the engine's table, copied into
+	// Ctx.CurID on each link so the caller can tell which block ran last.
+	ID int64
+}
+
+// Unlink empties every successor slot.
+func (l *Link) Unlink() {
+	for i := range l.Succ {
+		l.Succ[i] = LinkSucc{GPC: NoLink}
+	}
+}
+
+// Add links the exit to gpc to the block entered at entry with record
+// rec. It reports false when the edge is already linked or every slot is
+// taken.
+func (l *Link) Add(gpc int64, entry uintptr, rec *Link) bool {
+	for i := range l.Succ {
+		switch l.Succ[i].GPC {
+		case gpc:
+			return false
+		case NoLink:
+			l.Succ[i] = LinkSucc{GPC: gpc, Entry: entry, Rec: rec}
+			return true
+		}
+	}
+	return false
 }
 
 // Invalidate empties the TLB (used by tests; engines keep one Memory per
